@@ -166,7 +166,7 @@ class Machine:
             self.engine.register(self.watchdog)
 
     def attach_tracer(self, tracer) -> None:
-        """Record trace events (see :mod:`repro.sim.trace`) on all units."""
+        """Record trace events (see :mod:`repro.obs.trace`) on all units."""
         self.tracer = tracer
         for component in self.engine.components:
             component._tracer = tracer

@@ -137,7 +137,7 @@ class MFC(Component):
 
     @property
     def queue_free(self) -> bool:
-        return len(self._queue) + len(self._inflight) < self.config.command_queue_size
+        return self.outstanding_commands < self.config.command_queue_size
 
     def enqueue(
         self, kind: DmaKind, ls_addr: int, mem_addr: int, size: int, tag: int,
@@ -243,9 +243,12 @@ class MFC(Component):
                 requester_spe=self.spe_id,
             )
         cmd.next_chunk += 1
+        if chunk_index == 0:
+            # In flight from its first chunk: with short memory latencies
+            # a chunk's response can arrive before the last chunk issues.
+            self._inflight[cmd.command_id] = cmd
         if cmd.issued_all:
             self._queue.popleft()
-            self._inflight[cmd.command_id] = cmd
         self._launch_chunk(cmd, msg, attempt=0)
         return now + 1 if self._queue else None
 
@@ -439,8 +442,15 @@ class MFC(Component):
 
     @property
     def outstanding_commands(self) -> int:
-        """Commands queued or in flight (watchdog diagnostics)."""
-        return len(self._queue) + len(self._inflight)
+        """Commands queued or in flight.
+
+        A partly issued head command is in both ``_queue`` and
+        ``_inflight``; it counts once.
+        """
+        count = len(self._queue) + len(self._inflight)
+        if self._queue and self._queue[0].next_chunk:
+            count -= 1
+        return count
 
     @property
     def outstanding_bytes(self) -> int:

@@ -53,20 +53,18 @@ from repro.isa.decoded import (
     D_HAZ,
     D_KIND,
     D_LAT,
-    D_MEM,
     D_NAME,
     D_RD,
     D_TARGET,
     K_ALU,
     K_BRANCH,
+    K_MEM,
 )
 from repro.isa.instructions import Imm, Instruction, Reg
-from repro.isa.opcodes import Op, Slot, Unit
+from repro.isa.opcodes import Op, Unit
 from repro.isa.program import BlockKind
-from repro.isa.semantics import alu_result, branch_taken
 from repro.sim.component import Component
 from repro.sim.config import MachineConfig, SPUConfig
-from repro.sim.fastpath import fast_enabled
 from repro.sim.stats import Bucket, SpuStats
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -139,10 +137,7 @@ class SPU(Component):
         self.regs = [0] * config.num_registers
         self._scoreboard: dict[int, tuple[int, Unit]] = {}
         self._pf_end = 0
-        # Fast path (see docs/PERFORMANCE.md).  The flag is latched at
-        # construction so one machine never mixes paths mid-run; _dec is
-        # the running thread's DecodedProgram (None = use the slow path).
-        self._fast = fast_enabled()
+        #: The running thread's DecodedProgram (docs/PERFORMANCE.md).
         self._dec = None
         self._regs_zero = [0] * config.num_registers
         # Pipeline control.
@@ -319,9 +314,7 @@ class SPU(Component):
                 return None
             if self._state is not _State.RUNNING:
                 return None  # dispatch entered a timed wait
-        if self._dec is not None:
-            return self._issue_cycle_fast(now)
-        return self._issue_cycle(now)
+        return self._issue(now)
 
     # -- dispatch -----------------------------------------------------------------------
 
@@ -336,7 +329,7 @@ class SPU(Component):
         self.thread = thread
         self.regs[:] = self._regs_zero  # reuse the register file allocation
         self._scoreboard.clear()
-        self._dec = thread.program.decoded if self._fast else None
+        self._dec = thread.program.decoded
         ranges = thread.program.block_ranges
         self._pf_end = ranges[BlockKind.PF][1] if BlockKind.PF in ranges else 0
         if thread.program.has_prefetch and not thread.prefetch_done:
@@ -365,32 +358,7 @@ class SPU(Component):
         self._scoreboard.clear()
         self._dec = None
 
-    # -- hazards ----------------------------------------------------------------------------
-
-    def _pending(self, reg: int, now: int) -> tuple[int, Unit] | None:
-        entry = self._scoreboard.get(reg)
-        if entry is None:
-            return None
-        if entry[0] <= now:
-            del self._scoreboard[reg]
-            return None
-        return entry
-
-    def _hazard(self, instr: Instruction, now: int) -> tuple[int, Unit] | None:
-        """Worst pending (ready_cycle, unit) among the registers used."""
-        worst: tuple[int, Unit] | None = None
-        regs: list[int] = []
-        if isinstance(instr.ra, Reg):
-            regs.append(instr.ra.index)
-        if isinstance(instr.rb, Reg):
-            regs.append(instr.rb.index)
-        if instr.rd is not None:
-            regs.append(instr.rd)  # WAW
-        for r in regs:
-            entry = self._pending(r, now)
-            if entry is not None and (worst is None or entry[0] > worst[0]):
-                worst = entry
-        return worst
+    # -- operands ----------------------------------------------------------------------------
 
     def _val(self, operand: "Reg | Imm | None") -> int:
         if isinstance(operand, Reg):
@@ -401,131 +369,12 @@ class SPU(Component):
 
     # -- the issue loop ------------------------------------------------------------------------
 
-    def _issue_cycle(self, now: int) -> int | None:
-        thread = self.thread
-        assert thread is not None
-        program = thread.program
-        flat = program.flat
-        issued = 0
-        mem_used = False
-        alu_used = False
-        penalty = 0
-        # Capture the bucket at cycle start: instructions issued this cycle
-        # belong to the block the PC sat in when the cycle began.
-        cycle_bucket = self._bucket(Bucket.WORKING)
-        while issued < self.config.issue_width:
-            # PF-block boundary: yield the pipeline if DMA is outstanding.
-            if (
-                self._pf_end
-                and self.pc == self._pf_end
-                and not thread.prefetch_done
-            ):
-                if issued:
-                    break  # handle the boundary at the top of the next cycle
-                assert self._lse is not None
-                if self._lse.thread_wait_dma(thread):
-                    self._trace("yield-dma", tid=thread.tid,
-                                tags=sorted(thread.pending_tags))
-                    self._detach()
-                    if not self._try_dispatch(now):
-                        return None
-                    return now + 1 if self._state is _State.RUNNING else None
-                thread.transition(ThreadState.EXECUTING)
-            if self.pc >= len(flat):
-                raise SpuFault(
-                    f"{self.name}: fell off the end of {program.name!r} "
-                    f"(missing STOP?)"
-                )
-            instr = flat[self.pc]
-            spec = instr.spec
-            if spec.slot is Slot.MEM and mem_used:
-                break
-            if spec.slot is Slot.ALU and alu_used:
-                break
-            hz = self._hazard(instr, now)
-            if hz is not None:
-                if issued == 0:
-                    ready, unit = hz
-                    self._block_timed(ready, self._bucket(_UNIT_BUCKET[unit]))
-                    return self._timed_until
-                break
-            outcome = self._dispatch_op(instr, now, issued)
-            if outcome == "blocked":
-                # The op entered a timed/external wait (only legal as the
-                # first issue of the cycle).
-                assert issued == 0
-                return self._timed_until if self._state is _State.TIMED else None
-            if outcome == "retry":
-                break  # structural conflict; retry next cycle
-            if outcome == "squashed":
-                # Data-fault recovery pulled the thread off the pipeline;
-                # the aborted LOAD is not counted as issued.
-                self._detach()
-                self._charge_issue(issued, now, penalty, cycle_bucket)
-                if not self._try_dispatch(now):
-                    return None
-                if self._state is _State.TIMED:
-                    self._stall_start = now + 1
-                    return self._timed_until
-                return now + 1
-            # Issued.
-            issued += 1
-            self.stats.mix.record(instr.op.value)
-            if spec.slot is Slot.MEM:
-                mem_used = True
-            else:
-                alu_used = True
-            if outcome == "stop":
-                self._detach()
-                self._charge_issue(issued, now, penalty, cycle_bucket)
-                if not self._try_dispatch(now):
-                    return None
-                if self._state is _State.TIMED:
-                    # The issue cycle is already charged; the dispatch
-                    # stall starts next cycle.
-                    self._stall_start = now + 1
-                    return self._timed_until
-                return now + 1
-            if outcome == "branch-taken":
-                penalty = self.config.branch_taken_penalty
-                break
-            if outcome == "yielded" or self._state is not _State.RUNNING:
-                # A blocking op issued and is now waiting (READ, FALLOC...).
-                self._charge_issue(issued, now, penalty, cycle_bucket)
-                # The issue cycle is charged above; the stall interval
-                # starts at the next cycle.
-                self._stall_start = now + 1
-                return self._timed_until if self._state is _State.TIMED else None
-        self._charge_issue(issued, now, penalty, cycle_bucket)
-        return now + 1 + penalty
+    def _issue(self, now: int) -> int | None:
+        """Issue one cycle's instructions; returns the next tick cycle.
 
-    def _charge_issue(
-        self, issued: int, now: int, penalty: int, bucket: str
-    ) -> None:
-        if issued:
-            self.stats.issue_cycles += 1
-            if issued >= 2:
-                self.stats.dual_issue_cycles += 1
-            if self._m_issue is not None:
-                self._m_issue.add(now, 1)
-                self._m_issue_cycles.add()
-                if issued >= 2:
-                    self._m_dual_issue.add()
-            self._account(bucket, 1 + penalty)
-        elif penalty:
-            self._account(bucket, penalty)
-
-    # -- the decoded issue loop (fast path) ----------------------------------------------------
-
-    def _issue_cycle_fast(self, now: int) -> int | None:
-        """Decoded mirror of :meth:`_issue_cycle`.
-
-        Cycle-for-cycle identical to the slow path — the equivalence
-        suite (``tests/integration/test_fastpath.py``) enforces it — but
-        reads pre-resolved :mod:`repro.isa.decoded` rows instead of
-        re-deriving specs/operands per visit, and inlines ALU/branch
-        execution.  Structural ops (LS, memory, scheduler, DMA) still run
-        through the single-source :meth:`_dispatch_op`.
+        Reads the running thread's :mod:`repro.isa.decoded` rows and
+        executes ALU and branch rows inline.  MEM-slot ops (local store,
+        memory, scheduler, DMA) run through :meth:`_dispatch_op`.
 
         When the next instructions form a straight-line ALU run and no
         per-cycle observer is attached, defers to :meth:`_fast_forward`
@@ -557,6 +406,8 @@ class SPU(Component):
         mem_used = False
         alu_used = False
         penalty = 0
+        # Capture the bucket at cycle start: instructions issued this cycle
+        # belong to the block the PC sat in when the cycle began.
         cycle_bucket = self._bucket(Bucket.WORKING)
         regs = self.regs
         sb = self._scoreboard
@@ -581,13 +432,15 @@ class SPU(Component):
                     f"(missing STOP?)"
                 )
             row = rows[self.pc]
-            if row[D_MEM]:
+            kind = row[D_KIND]
+            if kind == K_MEM:
                 if mem_used:
                     break
             elif alu_used:
                 break
-            # Scoreboard scan: same register order and same expired-entry
-            # deletions as _hazard/_pending, so residual state matches.
+            # Scoreboard scan in ra, rb, rd order; expired entries are
+            # dropped as they are met.  The worst pending writer decides
+            # the stall and its bucket.
             worst_ready = 0
             worst_unit = None
             for r in row[D_HAZ]:
@@ -604,7 +457,6 @@ class SPU(Component):
                     )
                     return self._timed_until
                 break
-            kind = row[D_KIND]
             if kind == K_ALU:
                 fn = row[D_FN]
                 if fn is not None:  # None = NOP
@@ -636,7 +488,7 @@ class SPU(Component):
                     break
                 self.pc += 1
                 continue
-            # Structural ops: the single-source slow-path implementation.
+            # MEM-slot ops.
             instr = flat[self.pc]
             outcome = self._dispatch_op(instr, now, issued)
             if outcome == "blocked":
@@ -657,7 +509,7 @@ class SPU(Component):
                 return now + 1
             issued += 1
             stats.mix.record(row[D_NAME])
-            mem_used = True  # every delegated op occupies the MEM slot
+            mem_used = True
             if outcome == "stop":
                 self._detach()
                 self._charge_issue(issued, now, penalty, cycle_bucket)
@@ -677,14 +529,30 @@ class SPU(Component):
         self._charge_issue(issued, now, penalty, cycle_bucket)
         return now + 1 + penalty
 
+    def _charge_issue(
+        self, issued: int, now: int, penalty: int, bucket: str
+    ) -> None:
+        if issued:
+            self.stats.issue_cycles += 1
+            if issued >= 2:
+                self.stats.dual_issue_cycles += 1
+            if self._m_issue is not None:
+                self._m_issue.add(now, 1)
+                self._m_issue_cycles.add()
+                if issued >= 2:
+                    self._m_dual_issue.add()
+            self._account(bucket, 1 + penalty)
+        elif penalty:
+            self._account(bucket, penalty)
+
     def _fast_forward(self, now: int, rows) -> int:
         """Retire a straight-line ALU run in one tick.
 
-        Engaged by :meth:`_issue_cycle_fast` when ``rows[pc][D_FF] >= 2``,
-        the pc is past any PF block and nothing observes per-cycle state.
+        Engaged by :meth:`_issue` when ``rows[pc][D_FF] >= 2``, the pc
+        is past any PF block and nothing observes per-cycle state.
         Replays the per-cycle loop exactly: one ALU issue per cycle (the
         successor rule in :func:`~repro.isa.decoded.decode_program`
-        guarantees the slow path could never dual-issue inside the run)
+        guarantees :meth:`_issue` could never dual-issue inside the run)
         and scoreboard stalls that advance ``now`` to the writer's ready
         cycle, with the same stats credited in bulk.  The event engine
         never visits the interior cycles.  Returns the next tick cycle.
@@ -708,8 +576,8 @@ class SPU(Component):
                     elif e[0] > worst_ready:
                         worst_ready, worst_unit = e
             if worst_unit is not None:
-                # The slow path would block TIMED until worst_ready and
-                # charge the same bucket for the same interval.
+                # _issue would block TIMED until worst_ready and charge
+                # the same bucket for the same interval.
                 self._account(_UNIT_BUCKET[worst_unit], worst_ready - now)
                 now = worst_ready
                 continue
@@ -736,47 +604,17 @@ class SPU(Component):
     # -- per-opcode execution -------------------------------------------------------------------
 
     def _dispatch_op(self, instr: Instruction, now: int, issued: int) -> str:
-        """Execute ``instr`` if possible.
+        """Execute the MEM-slot instruction ``instr`` if possible.
 
-        Returns "issued", "stop", "branch-taken", "yielded" (issued but the
-        pipeline is now waiting), "retry" (structural conflict, nothing
-        done) or "blocked" (entered a stall; only when nothing was issued
-        this cycle).
+        Returns "issued", "stop", "squashed" (data-fault recovery pulled
+        the thread), "yielded" (issued but the pipeline is now waiting),
+        "retry" (structural conflict, nothing done) or "blocked" (entered
+        a stall; only when nothing was issued this cycle).
         """
         op = instr.op
         thread = self.thread
         assert thread is not None
         assert self._lse is not None
-
-        # -- pure ALU -------------------------------------------------------
-        if op in _ALU_OPS:
-            if op is Op.NOP:
-                self.pc += 1
-                return "issued"
-            a = self._val(instr.ra) if instr.ra is not None else 0
-            b = (
-                self._val(instr.rb)
-                if instr.rb is not None
-                else (instr.imm if instr.imm is not None else 0)
-            )
-            value = alu_result(op, a, b)
-            self.regs[instr.rd] = value
-            lat = instr.spec.result_latency or 1
-            if lat > 1:
-                self._scoreboard[instr.rd] = (now + lat, Unit.PIPE)
-            self.pc += 1
-            return "issued"
-
-        # -- branches ----------------------------------------------------------
-        if instr.spec.is_branch:
-            a = self._val(instr.ra) if instr.ra is not None else 0
-            b = self._val(instr.rb) if instr.rb is not None else 0
-            if branch_taken(op, a, b):
-                assert isinstance(instr.target, int)
-                self.pc = instr.target
-                return "branch-taken"
-            self.pc += 1
-            return "issued"
 
         # -- local store (frame + prefetched data) -------------------------------
         if op in (Op.LOAD, Op.STOREF, Op.LLOAD, Op.LSTORE):
@@ -948,14 +786,10 @@ class SPU(Component):
 
     def restore_state(self, state: dict) -> None:
         super().restore_state(state)
-        # Re-derive the decoded mirror for the running thread.  ``_fast``
-        # came from the snapshot, so the restored process pins the same
-        # fast/slow path the checkpointing process was on — bit-identity
-        # does not depend on the REPRO_SIM_FAST env of the new process.
+        # The decoded table holds per-opcode closures: rebuild it for the
+        # running thread instead of serializing it.
         self._dec = (
-            self.thread.program.decoded
-            if self._fast and self.thread is not None
-            else None
+            self.thread.program.decoded if self.thread is not None else None
         )
 
     # -- diagnostics -----------------------------------------------------------------------------
@@ -967,12 +801,3 @@ class SPU(Component):
             f"outstanding_writes={self._outstanding_writes} [{t}]"
         )
 
-
-_ALU_OPS = frozenset(
-    {
-        Op.LI, Op.MOV, Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MOD, Op.AND, Op.OR,
-        Op.XOR, Op.SHL, Op.SHR, Op.ADDI, Op.SUBI, Op.MULI, Op.ANDI, Op.ORI,
-        Op.XORI, Op.SHLI, Op.SHRI, Op.SLT, Op.SLTI, Op.SEQ, Op.SEQI, Op.MIN,
-        Op.MAX, Op.NOP,
-    }
-)

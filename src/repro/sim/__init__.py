@@ -21,10 +21,10 @@ from repro.sim.engine import (
     SimulationLimitExceeded,
     register_callback,
 )
+from repro.obs.trace import TraceEvent, Tracer
 from repro.sim.sanitize import InvariantViolation, Sanitizer
 from repro.sim.snapshot import CheckpointError, load_checkpoint, save_checkpoint
 from repro.sim.watchdog import ProgressWatchdog, SimulationLivelock
-from repro.sim.trace import TraceEvent, Tracer
 from repro.sim.stats import (
     Bucket,
     BusStats,

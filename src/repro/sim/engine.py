@@ -208,15 +208,19 @@ class Engine:
             (cycle, component.priority, component._order, self._seq, component),
         )
 
-    def call_at(self, cycle: int, callback: "Callback | Callable[[], None]") -> None:
+    def call_at(self, cycle: int, callback: Callback) -> None:
         """Run ``callback`` at the start of ``cycle`` (before ticks).
 
         Callbacks are one-shot and ordered before component ticks at the
-        same cycle (priority ``-1``).  Production sites pass a
-        :class:`Callback` descriptor so the heap stays serializable; bare
-        callables are still accepted for tests and ad-hoc scripting but
-        make the engine uncheckpointable while they are pending.
+        same cycle (priority ``-1``).  Only :class:`Callback` descriptors
+        are accepted, so the heap is always serializable: a bare callable
+        raises ``TypeError`` here, the one place it could enter the heap.
         """
+        if not isinstance(callback, Callback):
+            raise TypeError(
+                f"call_at takes a Callback descriptor, not {callback!r}; "
+                f"register the function with register_callback() first"
+            )
         if cycle <= self._now:
             cycle = self._now + 1
         self._callbacks += 1
@@ -240,9 +244,7 @@ class Engine:
         target = entry[4]
         if isinstance(target, Component):
             return target._scheduled_at == entry[0]
-        if isinstance(target, Callback):
-            return not target.cancelled
-        return True
+        return not target.cancelled
 
     def _compact(self) -> None:
         """Drop stale heap entries and re-heapify in place."""
@@ -321,7 +323,7 @@ class Engine:
                             )
                         self.schedule(target, nxt)
                 else:
-                    if isinstance(target, Callback) and target.cancelled:
+                    if target.cancelled:
                         self.stale_skipped += 1
                         continue  # lazily-cancelled descriptor
                     self._callbacks -= 1
@@ -378,11 +380,8 @@ class Engine:
         for cycle, _prio, _order, _seq, target in live:
             if isinstance(target, Component):
                 lines.append(f"cycle {cycle}: tick {target.name}")
-            elif isinstance(target, Callback):
-                lines.append(f"cycle {cycle}: callback {target.describe()}")
             else:
-                name = getattr(target, "__qualname__", repr(target))
-                lines.append(f"cycle {cycle}: callback {name}")
+                lines.append(f"cycle {cycle}: callback {target.describe()}")
         return lines
 
     def pending_events(self) -> Iterable[tuple[int, object]]:

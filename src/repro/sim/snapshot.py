@@ -25,10 +25,9 @@ identity: the ``DmaCommand`` inside ``mfc._inflight`` and the one inside
 a pending ``mfc.retry`` heap callback deserialize to the same object,
 exactly as they were.
 
-The event heap serializes because :meth:`Engine.call_at` sites schedule
+The event heap serializes because :meth:`Engine.call_at` accepts only
 :class:`~repro.sim.engine.Callback` descriptors (a registered *kind*
-plus plain payload) instead of closures; a heap holding a bare callable
-cannot be checkpointed and is rejected loudly.
+plus plain payload), never closures.
 
 File format
 -----------
@@ -54,9 +53,6 @@ import json
 import os
 import pickle
 import typing
-
-from repro.sim.component import Component
-from repro.sim.engine import Callback
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cell.machine import Machine
@@ -150,17 +146,6 @@ class _Unpickler(pickle.Unpickler):
 # -- save ---------------------------------------------------------------------
 
 
-def _check_heap_serializable(machine: "Machine") -> None:
-    for entry in machine.engine._heap:
-        target = entry[4]
-        if not isinstance(target, (Component, Callback)):
-            raise CheckpointError(
-                f"cannot checkpoint: pending event at cycle {entry[0]} is a "
-                f"bare callable ({target!r}); production call_at sites must "
-                f"schedule Callback descriptors"
-            )
-
-
 def _capture(machine: "Machine") -> dict:
     """The persistent-reference state dict (part B)."""
     engine = machine.engine
@@ -193,7 +178,6 @@ def save_checkpoint(machine: "Machine", path: str) -> str:
     """
     if machine._activity is None:
         raise CheckpointError("cannot checkpoint a machine with no activity")
-    _check_heap_serializable(machine)
     meta = {
         "cycle": machine.engine.now,
         "activity": machine._activity.name,

@@ -6,9 +6,11 @@ import dataclasses
 
 import pytest
 
-from repro.core.activity import GlobalObject, ObjRef
+from repro.cell.machine import Machine
+from repro.core.activity import GlobalObject, ObjRef, SpawnSpec, TLPActivity
 from repro.isa.builder import ThreadBuilder
 from repro.isa.program import BlockKind
+from repro.sim.config import latency1_config
 from repro.sim.stats import Bucket
 from repro.testing import run_program, small_config
 
@@ -83,6 +85,88 @@ class TestDmaTransfers:
         # crucially NOT as memory stalls.
         assert bd.idle > 300
         assert bd.mem_stall == 0
+
+
+class TestEarlyChunkResponses:
+    """With 1-cycle memory a chunk's response returns before the last
+    chunk of its command has issued: 1024 words are 32 chunks of 128 B,
+    issued one per cycle, and chunk 0 is back after a bus round trip."""
+
+    WORDS = 1024
+
+    def _activity(self):
+        b = dma_copy_program(self.WORDS)
+        data = tuple(range(1, self.WORDS + 1))
+        activity = TLPActivity(
+            name="early-chunks",
+            templates=[b.build()],
+            globals_=[GlobalObject("src", data),
+                      GlobalObject.zeros("out", self.WORDS)],
+            spawns=[SpawnSpec(template="dma_copy", stores={
+                b.slot("src"): ObjRef("src"), b.slot("out"): ObjRef("out"),
+            })],
+        )
+        return activity, list(data)
+
+    def test_multi_chunk_get_to_one_cycle_memory(self):
+        res, data = run_copy(words=self.WORDS, config=latency1_config(1))
+        assert res.read_global("out") == data
+        mfc = res.machine.spes[0].mfc
+        assert mfc.outstanding_commands == 0
+        assert mfc.queue_free
+
+    def test_partly_issued_command_counts_once(self):
+        """The head command sits in the queue and in flight at once; the
+        queue-capacity check must not count it twice."""
+        activity, _ = self._activity()
+        machine = Machine(latency1_config(1))
+        machine.load(activity)
+        mfc = machine.spes[0].mfc
+        seen = []
+        tick = mfc.tick
+
+        def probe(now):
+            nxt = tick(now)
+            if mfc._queue and mfc._queue[0].command_id in mfc._inflight:
+                seen.append(mfc.outstanding_commands)
+            return nxt
+
+        mfc.tick = probe
+        machine.run()
+        assert seen and set(seen) == {1}
+
+    def test_checkpoint_mid_command_round_trips(self, tmp_path):
+        activity, data = self._activity()
+        # Find a cycle at which the head command is partly issued.
+        probe_machine = Machine(latency1_config(1))
+        probe_machine.load(activity)
+        mfc = probe_machine.spes[0].mfc
+        partly = []
+        tick = mfc.tick
+
+        def probe(now):
+            nxt = tick(now)
+            if mfc._queue and mfc._queue[0].next_chunk:
+                partly.append(now + 1)
+            return nxt
+
+        mfc.tick = probe
+        ref = probe_machine.run()
+        at = partly[len(partly) // 2]
+
+        machine = Machine(latency1_config(1))
+        machine.load(activity)
+        machine.run(checkpoint_at=[at], checkpoint_dir=str(tmp_path))
+        restored = Machine.load_checkpoint(
+            str(tmp_path / f"early-chunks.c{at}.ckpt")
+        )
+        head = restored.spes[0].mfc._queue[0]
+        assert head.next_chunk
+        assert restored.spes[0].mfc._inflight[head.command_id] is head
+        result = restored.run()
+        assert result.cycles == ref.cycles
+        assert result.stats == ref.stats
+        assert restored.read_global("out") == data
 
 
 class TestMfcQueue:

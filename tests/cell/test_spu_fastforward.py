@@ -3,10 +3,10 @@
 ``SPU._fast_forward`` retires a hazard-checked straight-line ALU run in
 one engine tick (see ``docs/PERFORMANCE.md``).  These unit tests drive
 mini-programs whose shapes hit every window boundary — branches,
-MEM-slot ops, scoreboard hazards, the PF/EX block edge — and assert the
-fast path (``REPRO_SIM_FAST=1``) is bit-identical to the per-cycle path
-(``REPRO_SIM_FAST=0``) while dispatching strictly fewer engine ticks
-where a window exists at all.
+MEM-slot ops, scoreboard hazards, the PF/EX block edge — and assert a
+run with fast-forward on is bit-identical to the same run with it off
+(the ``fast_forward`` fixture: one tick per issue cycle) while
+dispatching strictly fewer engine ticks where a window exists at all.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from repro.sim.stats import Bucket
 from repro.testing import run_program
 
 
-def _both_modes(build, monkeypatch, **kw):
-    """Run ``build()``'s program fast and slow; return both results."""
+def _both_modes(build, fast_forward, **kw):
+    """Run ``build()``'s program with fast-forward on, then off."""
     out = []
-    for fast in (True, False):
-        monkeypatch.setenv("REPRO_SIM_FAST", "1" if fast else "0")
+    for on in (True, False):
+        fast_forward(on)
         out.append(run_program(build(), **kw))
     return out
 
@@ -46,17 +46,17 @@ def writer():
     return b
 
 
-def run_writer(build, monkeypatch, words: int = 4):
+def run_writer(build, fast_forward, words: int = 4):
     return _both_modes(
         build,
-        monkeypatch,
+        fast_forward,
         stores={0: ObjRef("out")},
         globals_=[GlobalObject.zeros("out", words)],
     )
 
 
 class TestStraightLineRuns:
-    def test_long_alu_run_collapses_to_fewer_ticks(self, monkeypatch):
+    def test_long_alu_run_collapses_to_fewer_ticks(self, fast_forward):
         def build():
             b = writer()
             with b.block(BlockKind.PL):
@@ -69,7 +69,7 @@ class TestStraightLineRuns:
                 b.stop()
             return b
 
-        fast, slow = run_writer(build, monkeypatch)
+        fast, slow = run_writer(build, fast_forward)
         _assert_identical(fast, slow)
         assert fast.word("out") == sum(range(40))
         # The 40-op run is one window: the fast run must actually have
@@ -79,7 +79,7 @@ class TestStraightLineRuns:
             < slow.machine.engine.ticks_dispatched
         )
 
-    def test_working_bucket_credited_in_bulk_matches(self, monkeypatch):
+    def test_working_bucket_credited_in_bulk_matches(self, fast_forward):
         def build():
             b = writer()
             with b.block(BlockKind.PL):
@@ -92,7 +92,7 @@ class TestStraightLineRuns:
                 b.stop()
             return b
 
-        fast, slow = run_writer(build, monkeypatch)
+        fast, slow = run_writer(build, fast_forward)
         _assert_identical(fast, slow)
         f = fast.result.stats.spus[0].breakdown
         s = slow.result.stats.spus[0].breakdown
@@ -100,7 +100,7 @@ class TestStraightLineRuns:
 
 
 class TestWindowBoundaries:
-    def test_scoreboard_hazards_inside_the_window(self, monkeypatch):
+    def test_scoreboard_hazards_inside_the_window(self, fast_forward):
         # A dependent MUL/DIV chain stalls on result latency mid-run; the
         # window must charge the same stall buckets as per-cycle ticks.
         def build():
@@ -118,11 +118,11 @@ class TestWindowBoundaries:
                 b.stop()
             return b
 
-        fast, slow = run_writer(build, monkeypatch)
+        fast, slow = run_writer(build, fast_forward)
         _assert_identical(fast, slow)
         assert fast.word("out") == 40 // 30 + 1
 
-    def test_branches_terminate_the_window(self, monkeypatch):
+    def test_branches_terminate_the_window(self, fast_forward):
         def build():
             b = writer()
             with b.block(BlockKind.PL):
@@ -138,11 +138,11 @@ class TestWindowBoundaries:
                 b.stop()
             return b
 
-        fast, slow = run_writer(build, monkeypatch)
+        fast, slow = run_writer(build, fast_forward)
         _assert_identical(fast, slow)
         assert fast.word("out") == sum(range(1, 26))
 
-    def test_mem_slot_ops_interleaved(self, monkeypatch):
+    def test_mem_slot_ops_interleaved(self, fast_forward):
         # Local-store traffic splits the EX block into several windows
         # and exercises the dual-issue edge (ALU op + MEM successor).
         def build():
@@ -162,11 +162,11 @@ class TestWindowBoundaries:
                 b.stop()
             return b
 
-        fast, slow = run_writer(build, monkeypatch)
+        fast, slow = run_writer(build, fast_forward)
         _assert_identical(fast, slow)
         assert fast.word("out") == 32
 
-    def test_pf_block_boundary_never_fast_forwards(self, monkeypatch):
+    def test_pf_block_boundary_never_fast_forwards(self, fast_forward):
         # ALU runs inside a PF block stay on the per-cycle path (they
         # charge the Prefetching bucket and end at the DMA-yield edge).
         def build():
@@ -193,8 +193,8 @@ class TestWindowBoundaries:
                 b.stop()
             return b
 
-        def run(fast):
-            monkeypatch.setenv("REPRO_SIM_FAST", "1" if fast else "0")
+        def run(on):
+            fast_forward(on)
             return run_program(
                 build(),
                 stores={0: ObjRef("out"), 1: ObjRef("src")},
@@ -213,10 +213,10 @@ class TestWindowBoundaries:
 
 
 class TestObserversDisengage:
-    def test_tracer_forces_per_cycle_ticks(self, monkeypatch):
+    def test_tracer_forces_per_cycle_ticks(self, fast_forward):
         # With a tracer attached the window must not engage: per-cycle
         # observers need every cycle visited.  Identical results either
-        # way, but no tick reduction relative to the slow path.
+        # way, but no tick reduction relative to fast-forward off.
         from repro.cell.machine import Machine
         from repro.core.activity import SpawnSpec, TLPActivity
         from repro.obs.trace import Tracer
@@ -234,8 +234,8 @@ class TestObserversDisengage:
                 b.stop()
             return b
 
-        def run(fast):
-            monkeypatch.setenv("REPRO_SIM_FAST", "1" if fast else "0")
+        def run(on):
+            fast_forward(on)
             builder = build()
             program = builder.build()
             activity = TLPActivity(

@@ -1,13 +1,15 @@
-"""Fast-path equivalence matrix: speed may change, bits may not.
+"""Fast-forward equivalence matrix: speed may change, bits may not.
 
-The decoded-instruction cache, the SPU fast-forward and the engine heap
-hygiene (see ``docs/PERFORMANCE.md``) are pure performance work: for any
-benchmark, seed and configuration, a run with ``REPRO_SIM_FAST=1`` must
-produce **bit-identical** architectural outputs, ``MachineStats`` and
-profiles to the original code (``REPRO_SIM_FAST=0``).  This matrix
-enforces it across the three paper benchmarks under every observation
-regime that could perturb the fast path: plain, metrics hub attached,
-chaos faults, and the invariant sanitizer.
+SPU fast-forward (see ``docs/PERFORMANCE.md``) retires straight-line ALU
+runs in one engine tick instead of one tick per cycle.  It is pure
+performance work: for any benchmark, seed and configuration, a run with
+fast-forward on must produce **bit-identical** architectural outputs,
+``MachineStats`` and profiles to the same run with it off (the
+``fast_forward`` fixture zeroes every run length, so each instruction
+issues in its own tick).  This matrix enforces it across the three
+paper benchmarks under every regime that could perturb the windows:
+plain, metrics hub attached (windows disengage), chaos faults, and the
+invariant sanitizer.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import pytest
 from repro.bench.scale import builders
 from repro.cell.machine import Machine
 from repro.compiler.passes import prefetch_transform
-from repro.isa.interpreter import run_functional
 from repro.obs.diff import diff_profiles
 from repro.obs.profile import profile_workload
 from repro.sim.config import MachineConfig
@@ -32,21 +33,23 @@ CHAOS = ("dma_delay=0.1,dma_drop=0.08,bus_delay=0.05,bus_dup=0.05,"
          "mem_stall=0.05,dma_max_retries=2")
 
 
-def _run(name: str, config: MachineConfig, monkeypatch, fast: bool):
-    """One prefetch-variant run; returns (result, outputs)."""
-    monkeypatch.setenv("REPRO_SIM_FAST", "1" if fast else "0")
+def _run(name: str, config: MachineConfig, fast_forward, on: bool):
+    """One prefetch-variant run; returns (result, outputs, ticks)."""
+    fast_forward(on)
     workload = builders("test")[name]()
     machine = Machine(config)
     machine.load(prefetch_transform(workload.activity))
     result = machine.run()
     outputs = {obj: machine.read_global(obj) for obj in workload.oracle}
     workload.verify(machine)
-    return result, outputs
+    return result, outputs, machine.engine.ticks_dispatched
 
 
 def _assert_equivalent(fast, slow):
-    f_result, f_outputs = fast
-    s_result, s_outputs = slow
+    """``fast``: fast-forward on; ``slow``: off."""
+    f_result, f_outputs, f_ticks = fast
+    s_result, s_outputs, s_ticks = slow
+    assert f_ticks <= s_ticks
     assert f_outputs == s_outputs
     assert f_result.cycles == s_result.cycles
     # Field-by-field beats a bare ``==`` for diagnosability.
@@ -57,21 +60,22 @@ def _assert_equivalent(fast, slow):
 
 class TestPlainEquivalence:
     @pytest.mark.parametrize("name", BENCHMARKS)
-    def test_stats_and_outputs_bit_identical(self, name, monkeypatch):
+    def test_stats_and_outputs_bit_identical(self, name, fast_forward):
         cfg = MachineConfig()
-        _assert_equivalent(
-            _run(name, cfg, monkeypatch, fast=True),
-            _run(name, cfg, monkeypatch, fast=False),
-        )
+        fast = _run(name, cfg, fast_forward, on=True)
+        slow = _run(name, cfg, fast_forward, on=False)
+        _assert_equivalent(fast, slow)
+        # Windows engaged, so the comparison is not vacuous.
+        assert fast[2] < slow[2]
 
 
 class TestFaultedEquivalence:
     @pytest.mark.parametrize("name", BENCHMARKS)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_chaos_runs_bit_identical(self, name, seed, monkeypatch):
+    def test_chaos_runs_bit_identical(self, name, seed, fast_forward):
         cfg = MachineConfig().with_faults(f"seed={seed},{CHAOS}")
-        fast = _run(name, cfg, monkeypatch, fast=True)
-        slow = _run(name, cfg, monkeypatch, fast=False)
+        fast = _run(name, cfg, fast_forward, on=True)
+        slow = _run(name, cfg, fast_forward, on=False)
         _assert_equivalent(fast, slow)
         # The chaos spec actually fired, so the equivalence was under load.
         assert fast[0].stats.faults.any_fired
@@ -79,23 +83,23 @@ class TestFaultedEquivalence:
 
 class TestSanitizedEquivalence:
     @pytest.mark.parametrize("name", BENCHMARKS)
-    def test_sanitized_runs_bit_identical(self, name, monkeypatch):
+    def test_sanitized_runs_bit_identical(self, name, fast_forward):
         cfg = MachineConfig().replace(sanitize=True)
         _assert_equivalent(
-            _run(name, cfg, monkeypatch, fast=True),
-            _run(name, cfg, monkeypatch, fast=False),
+            _run(name, cfg, fast_forward, on=True),
+            _run(name, cfg, fast_forward, on=False),
         )
 
 
 class TestObservedEquivalence:
-    """With a hub attached the SPU fast-forward disengages, but the
-    decoded issue loop still runs — every gauge sample, bucket series
-    and trace event must match the original path."""
+    """With a hub attached the SPU fast-forward disengages, so both sides
+    issue cycle by cycle — every gauge sample, bucket series and trace
+    event must match."""
 
     @pytest.mark.parametrize("name", BENCHMARKS)
-    def test_profiles_bit_identical(self, name, monkeypatch):
-        def profiled(fast: bool):
-            monkeypatch.setenv("REPRO_SIM_FAST", "1" if fast else "0")
+    def test_profiles_bit_identical(self, name, fast_forward):
+        def profiled(on: bool):
+            fast_forward(on)
             workload = builders("test")[name]()
             return profile_workload(workload, MachineConfig())
 
@@ -111,16 +115,3 @@ class TestObservedEquivalence:
         diff = diff_profiles(s_profile.to_dict(), f_profile.to_dict())
         assert diff.regressions(max_delta_pct=0.0) == []
 
-
-class TestInterpreterEquivalence:
-    @pytest.mark.parametrize("name", BENCHMARKS)
-    def test_functional_machine_bit_identical(self, name, monkeypatch):
-        def run(fast: bool):
-            monkeypatch.setenv("REPRO_SIM_FAST", "1" if fast else "0")
-            workload = builders("test")[name]()
-            return run_functional(workload.activity)
-
-        fast, slow = run(True), run(False)
-        assert fast.memory == slow.memory
-        assert fast.instructions == slow.instructions
-        assert fast.threads_run == slow.threads_run

@@ -1,10 +1,10 @@
 """Decoded-instruction tables: value functions pinned, rows faithful.
 
-The fast execution paths (``SPU._issue_cycle_fast`` and the decoded
-interpreter loop) trust :mod:`repro.isa.decoded` completely, so this
-suite pins the decoded closures to the canonical semantics in
-:mod:`repro.isa.semantics` over a value grid, and checks the row fields
-and fast-forward run lengths against first principles.
+The SPU issue loop (``SPU._issue`` and ``SPU._fast_forward``) trusts
+:mod:`repro.isa.decoded` completely, so this suite pins the decoded
+closures to the canonical semantics in :mod:`repro.isa.semantics` over
+a value grid, and checks the row fields and fast-forward run lengths
+against first principles.
 """
 
 from __future__ import annotations
@@ -23,13 +23,12 @@ from repro.isa.decoded import (
     D_HAZ,
     D_KIND,
     D_LAT,
-    D_MEM,
     D_NAME,
     D_RD,
     D_TARGET,
     K_ALU,
     K_BRANCH,
-    K_STOP,
+    K_MEM,
     decode_program,
 )
 from repro.isa.opcodes import Op, Slot, spec_of
@@ -134,12 +133,19 @@ class TestRowFields:
         bne = rows[2]
         assert bne[D_KIND] == K_BRANCH
         assert bne[D_TARGET] == 1
-        assert not bne[D_MEM]
 
     def test_stop_is_a_mem_slot_row(self):
         rows = decode_program(ex_program(lambda b: b.li("x", 1))).rows
-        assert rows[-1][D_KIND] == K_STOP
-        assert rows[-1][D_MEM]
+        assert rows[-1][D_KIND] == K_MEM
+        assert rows[-1][D_NAME] == Op.STOP.value
+
+    def test_every_non_alu_op_is_a_mem_slot_op(self):
+        # The decoder gives every op that is neither ALU nor branch the
+        # K_MEM kind, which the SPU counts against the MEM issue slot.
+        for op in Op:
+            spec = spec_of(op)
+            if not spec.is_branch and spec.slot is not Slot.ALU:
+                assert spec.slot is Slot.MEM, op
 
 
 class TestFastForwardRunLengths:

@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.component import Component
-from repro.sim.engine import Engine, SimulationDeadlock, SimulationLimitExceeded
+from repro.sim.engine import (
+    Callback,
+    Engine,
+    SimulationDeadlock,
+    SimulationLimitExceeded,
+    register_callback,
+)
 
 
 class Ticker(Component):
@@ -21,6 +27,36 @@ class Ticker(Component):
         self.ticks.append(now)
         self.remaining -= 1
         return now + self.period if self.remaining > 0 else None
+
+
+class Log(list):
+    """Callback owner: records ``(label, cycle)`` for one engine."""
+
+    name = "log"
+
+    def __init__(self, engine: Engine) -> None:
+        super().__init__()
+        self.engine = engine
+
+    def record(self, label: str) -> None:
+        self.append((label, self.engine.now))
+
+    def record_then_call_now(self, label: str) -> None:
+        self.record(label)
+        self.engine.call_at(self.engine.now, Callback(RECORD, self, ("inner",)))
+
+    def noop(self) -> None:
+        pass
+
+
+RECORD = "test.engine.record"
+NEST = "test.engine.nest"
+NOOP = "test.engine.noop"
+WAKE = "test.engine.wake"  # owner: the engine; payload: (component, cycle)
+register_callback(RECORD, Log.record)
+register_callback(NEST, Log.record_then_call_now)
+register_callback(NOOP, Log.noop)
+register_callback(WAKE, Engine.schedule)
 
 
 class TestBasicScheduling:
@@ -78,7 +114,7 @@ class TestBasicScheduling:
         eng = Engine()
         t = eng.register(Ticker("t", count=1))
         eng.schedule(t, 50)
-        eng.call_at(10, lambda: eng.schedule(t, 11))
+        eng.call_at(10, Callback(WAKE, eng, (t, 11)))
         eng.drain()
         assert t.ticks == [11]
         assert eng.ticks_dispatched == 1
@@ -101,8 +137,8 @@ class TestCounters:
         eng = Engine()
         t = eng.register(Ticker("t", count=2))
         eng.schedule(t, 1)
-        eng.call_at(3, lambda: None)
-        eng.call_at(4, lambda: None)
+        eng.call_at(3, Callback(NOOP, Log(eng)))
+        eng.call_at(4, Callback(NOOP, Log(eng)))
         eng.drain()
         assert eng.ticks_dispatched == 2
         assert eng.callbacks_dispatched == 2
@@ -122,7 +158,7 @@ class TestCounters:
         t = eng.register(Ticker("t", count=1))
         eng.schedule(t, 40)
         eng.schedule(t, 12)
-        eng.call_at(5, lambda: None)
+        eng.call_at(5, Callback(NOOP, Log(eng)))
         # Heap holds 3 entries, but only the tick at 12 and the callback
         # are live: the gauge must not count the stale cycle-40 entry.
         assert len(eng._heap) == 3
@@ -198,59 +234,60 @@ class TestOrdering:
         second = eng.register(P("second"))
         # Push in reverse registration order, at different times.
         eng.schedule(second, 50)
-        eng.call_at(40, lambda: eng.schedule(first, 50))
+        eng.call_at(40, Callback(WAKE, eng, (first, 50)))
         eng.drain()
         assert order == ["first", "second"]
 
     def test_callbacks_run_before_ticks(self):
-        order: list[str] = []
+        class Logged(Ticker):
+            def tick(self, now: int) -> int | None:
+                log.record("tick")
+                return super().tick(now)
+
         eng = Engine()
-        t = eng.register(Ticker("t", count=1))
+        log = Log(eng)
+        t = eng.register(Logged("t", count=1))
         eng.schedule(t, 5)
-        eng.call_at(5, lambda: order.append("cb"))
+        eng.call_at(5, Callback(RECORD, log, ("cb",)))
         eng.drain()
-        assert order == ["cb"]
+        assert log == [("cb", 5), ("tick", 5)]
         assert t.ticks == [5]
 
     def test_call_at_clamps_past_and_current_cycles(self):
         eng = Engine()
-        seen: list[int] = []
-        eng.call_at(0, lambda: seen.append(eng.now))  # now is 0
-        eng.call_at(-7, lambda: seen.append(eng.now))
+        log = Log(eng)
+        eng.call_at(0, Callback(RECORD, log, ("zero",)))  # now is 0
+        eng.call_at(-7, Callback(RECORD, log, ("past",)))
         eng.drain()
-        assert seen == [1, 1]
+        assert log == [("zero", 1), ("past", 1)]
 
     def test_callback_requesting_current_cycle_defers_to_next(self):
         # A callback can never re-enter its own cycle: call_at clamps a
         # same-cycle request to now + 1, so the dispatch loop is finite.
         eng = Engine()
-        fired: list[tuple[str, int]] = []
-
-        def outer() -> None:
-            fired.append(("outer", eng.now))
-            eng.call_at(eng.now, lambda: fired.append(("inner", eng.now)))
-
-        eng.call_at(3, outer)
+        log = Log(eng)
+        eng.call_at(3, Callback(NEST, log, ("outer",)))
         eng.drain()
-        assert fired == [("outer", 3), ("inner", 4)]
+        assert log == [("outer", 3), ("inner", 4)]
 
     def test_tick_requesting_current_cycle_callback_defers(self):
         class CallsBack(Component):
-            def __init__(self, name: str) -> None:
-                super().__init__(name)
-                self.cb_cycles: list[int] = []
-
             def tick(self, now: int) -> None:
-                self.engine.call_at(
-                    now, lambda: self.cb_cycles.append(self.engine.now)
-                )
+                self.engine.call_at(now, Callback(RECORD, log, ("cb",)))
                 return None
 
         eng = Engine()
+        log = Log(eng)
         c = eng.register(CallsBack("c"))
         eng.schedule(c, 5)
         eng.drain()
-        assert c.cb_cycles == [6]
+        assert log == [("cb", 6)]
+
+    def test_bare_callable_rejected(self):
+        eng = Engine()
+        with pytest.raises(TypeError, match="Callback descriptor"):
+            eng.call_at(5, lambda: None)
+        assert eng.pending_count == 0
 
     def test_non_advancing_tick_raises(self):
         class Bad(Component):
@@ -298,7 +335,7 @@ class TestRunControl:
     def test_wake_from_callback(self):
         eng = Engine()
         t = eng.register(Ticker("t", count=1))
-        eng.call_at(10, lambda: eng.schedule(t, 20))
+        eng.call_at(10, Callback(WAKE, eng, (t, 20)))
         eng.drain()
         assert t.ticks == [20]
 
@@ -338,21 +375,17 @@ class TestDiagnostics:
         assert "tick t" in text
 
     def test_peek_events_orders_and_formats(self):
-        def named_callback() -> None:
-            pass
-
         eng = Engine()
         a = eng.register(Ticker("a", count=1))
         b = eng.register(Ticker("b", count=1))
         eng.schedule(a, 20)
         eng.schedule(b, 5)
-        eng.call_at(10, named_callback)
-        lines = eng.peek_events()
-        assert len(lines) == 3
-        assert lines[0] == "cycle 5: tick b"
-        assert lines[1].startswith("cycle 10: callback ")
-        assert lines[1].endswith("named_callback")
-        assert lines[2] == "cycle 20: tick a"
+        eng.call_at(10, Callback(NOOP, Log(eng)))
+        assert eng.peek_events() == [
+            "cycle 5: tick b",
+            f"cycle 10: callback {NOOP}(log)",
+            "cycle 20: tick a",
+        ]
 
     def test_peek_events_skips_stale_entries_and_honours_limit(self):
         eng = Engine()
@@ -361,5 +394,5 @@ class TestDiagnostics:
         eng.schedule(t, 12)  # supersedes: the cycle-40 entry goes stale
         assert eng.peek_events() == ["cycle 12: tick t"]
         for cycle in range(50, 60):
-            eng.call_at(cycle, lambda: None)
+            eng.call_at(cycle, Callback(NOOP, Log(eng)))
         assert len(eng.peek_events(limit=4)) == 4

@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.component import Component
-from repro.sim.engine import Engine
+from repro.sim.engine import Callback, Engine, register_callback
+
+#: Callback kind that appends its payload to the owning list.
+FIRE = "test.property.fire"
+register_callback(FIRE, list.append)
 
 
 class Recorder(Component):
@@ -68,7 +72,7 @@ def test_callbacks_fire_at_exact_cycles(cycles, pick):
     eng = Engine()
     fired: list[int] = []
     for c in cycles:
-        eng.call_at(c, lambda c=c: fired.append(c))
+        eng.call_at(c, Callback(FIRE, fired, (c,)))
     eng.drain()
     assert sorted(fired) == sorted(cycles)
     assert eng.now == max(cycles)
