@@ -22,9 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.bench.export import scaling_to_dict
 from repro.bench.runner import sweep
 from repro.bench.scale import builders
-from repro.compiler.passes import PrefetchOptions
 from repro.serve import ServeApp, ServeClient, ServeError
-from repro.sim.config import paper_config
 
 SPES = [1, 2]
 
@@ -63,11 +61,7 @@ def main() -> None:
           f"{len(blobs)} distinct payload(s)\n")
 
     print("3. The served payload equals a direct in-process sweep:")
-    direct = scaling_to_dict(sweep(
-        builders("test")["bitcnt"], spes=tuple(SPES),
-        config_for=paper_config,
-        options=PrefetchOptions(worthwhile_threshold=0.5),
-    ))
+    direct = scaling_to_dict(sweep(builders("test")["bitcnt"], spes=SPES))
     direct["schema_version"] = payload["schema_version"]
     direct["kind"] = "sweep"
     print(f"   bit-identical: {outcomes[0][1] == direct}\n")

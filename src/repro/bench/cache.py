@@ -115,7 +115,14 @@ def result_key(
     options: PrefetchOptions | None = None,
     max_cycles: int = 500_000_000,
 ) -> str:
-    """Deterministic cache key for one :func:`~repro.bench.runner.run_workload`."""
+    """Deterministic cache key for one :func:`~repro.bench.runner.run_workload`.
+
+    ``options=None`` keys like the default :class:`PrefetchOptions` it
+    stands for, and a baseline run (which never reads them) keys without
+    options, so equal runs get equal keys however the caller spelled them.
+    """
+    if prefetch and options is None:
+        options = PrefetchOptions()
     ident = {
         "code": code_stamp(),
         "workload": workload.name,
@@ -123,7 +130,7 @@ def result_key(
         "activity": _activity_digest(workload),
         "config": dataclasses.asdict(config),
         "prefetch": prefetch,
-        "options": dataclasses.asdict(options) if options is not None else None,
+        "options": dataclasses.asdict(options) if prefetch else None,
         "max_cycles": max_cycles,
     }
     blob = json.dumps(ident, sort_keys=True, default=repr).encode()

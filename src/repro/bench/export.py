@@ -15,10 +15,16 @@ import io
 import json
 from typing import Mapping
 
-from repro.bench.runner import PairResult, ScalingResult
+from repro.bench.runner import (
+    Knobs,
+    PairResult,
+    ScalingResult,
+    assemble_pairs,
+    plan_pairs,
+)
 from repro.bench.scale import builders, current_scale, spe_counts
 from repro.cell.machine import RunResult
-from repro.sim.config import latency1_config, paper_config
+from repro.sim.config import latency1_config
 from repro.sim.stats import Bucket
 
 __all__ = [
@@ -125,25 +131,29 @@ def scaling_to_dict(scaling: ScalingResult) -> dict:
     }
 
 
-def scaling_to_csv(scaling: ScalingResult) -> str:
-    """One row per (SPE count, variant) — ready for a spreadsheet."""
+def scaling_to_csv(scaling: dict) -> str:
+    """One row per (SPE count, variant) of a :func:`scaling_to_dict`
+    payload — ready for a spreadsheet.  The ``workload`` column names
+    the simulated activity, problem size included (``bitcnt(24)``)."""
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(
         ["workload", "spes", "variant", "cycles", "speedup_vs_base",
          "mem_stall_frac", "pipeline_usage"]
     )
-    for n, pair in sorted(scaling.pairs.items()):
-        for variant, run in (("base", pair.base), ("prefetch", pair.prefetch)):
+    for n, pair in scaling["points"].items():
+        for variant in ("base", "prefetch"):
+            run = pair[variant]
             writer.writerow(
                 [
-                    scaling.workload,
+                    run["activity"],
                     n,
                     variant,
-                    run.cycles,
-                    f"{pair.speedup:.4f}" if variant == "prefetch" else "1.0",
-                    f"{run.stats.average_breakdown.fraction(Bucket.MEM_STALL):.4f}",
-                    f"{run.stats.average_pipeline_usage:.4f}",
+                    run["cycles"],
+                    f"{pair['speedup']:.4f}" if variant == "prefetch"
+                    else "1.0",
+                    f"{run['breakdown'][Bucket.MEM_STALL]:.4f}",
+                    f"{run['pipeline_usage']:.4f}",
                 ]
             )
     return out.getvalue()
@@ -155,41 +165,39 @@ def reproduce_all(
     progress=None,
     jobs: int | None = None,
     cache=None,
-    timeout: "float | None" = None,
-    retries: "int | None" = None,
-    resume: bool = False,
-    keep_going: bool = False,
-    checkpoint_every: "int | None" = None,
-    checkpoint_dir: "str | None" = None,
-    keep_checkpoints: bool = False,
     faults: "str | None" = None,
+    sanitize: bool = False,
+    threshold: float = 0.5,
+    **batch,
 ) -> dict:
     """Execute the full experiment matrix (Figures 5-9, Table 5, L1).
 
     Returns a JSON-serializable dictionary keyed by experiment id.
     ``progress`` (if given) is called with a status line per step.
+    ``faults``/``sanitize``/``threshold`` are the
+    :class:`~repro.bench.runner.Knobs` of every run; the matrix itself
+    fixes memory latency (the paper's 150 cycles, and 1 for the
+    latency-1 study).
 
     The whole matrix — every (workload, SPE count, variant) point plus
     the latency-1 study — is one batch of independent deterministic
-    runs, so it is submitted to :func:`repro.bench.parallel.run_many`
-    in a single fan-out: ``jobs`` worker processes drain it (default
-    ``REPRO_BENCH_JOBS`` or serial) and a
-    :class:`~repro.bench.cache.ResultCache` makes a re-run with
-    unchanged code and parameters perform zero new simulations.
+    runs, so it is submitted to
+    :func:`repro.bench.parallel.run_many_detailed` in a single fan-out:
+    ``jobs`` worker processes drain it (default ``REPRO_BENCH_JOBS`` or
+    serial) and a :class:`~repro.bench.cache.ResultCache` makes a re-run
+    with unchanged code and parameters perform zero new simulations.
 
-    ``timeout``/``retries``/``resume`` are the resilience knobs of
-    :func:`~repro.bench.parallel.run_many_detailed`; ``resume=True``
-    continues an interrupted matrix from the sweep journal without
-    re-simulating settled tasks, producing output bit-identical to an
-    uninterrupted run.  With ``keep_going=True`` a permanently failing
-    task no longer aborts the batch: every experiment that *can* be
-    assembled from the surviving runs is emitted, and a ``degraded``
-    manifest section names each failed task (label, taxonomy kind,
-    attempts, last error).  Pairs with a failed half are dropped from
-    their experiment; a workload missing its max-SPE pair is dropped
-    from the Table 5 / Figure 5 / Figure 9 sections.
+    ``batch`` is that function's batch policy; ``resume=True`` continues
+    an interrupted matrix bit-identically.  Under ``keep_going=True`` a
+    permanently failing task no longer aborts the batch: every
+    experiment that *can* be assembled from the surviving runs is
+    emitted, and a ``degraded`` manifest section names each failed task
+    (label, taxonomy kind, attempts, last error).  Pairs with a failed
+    half are dropped from their experiment; a workload missing its
+    max-SPE pair is dropped from the Table 5 / Figure 5 / Figure 9
+    sections.
     """
-    from repro.bench.parallel import TaskFailure, pair_tasks, run_many_detailed
+    from repro.bench.parallel import run_many_detailed
     from repro.faults.plan import FaultPlan
 
     def log(msg: str) -> None:
@@ -199,9 +207,7 @@ def reproduce_all(
     # Validate the fault spec before anything is built or spawned — a
     # typo'd key must fail here, not deep inside a worker process.
     plan = FaultPlan.parse(faults) if faults else None
-
-    def _cfg(config):
-        return config.replace(faults=plan) if plan is not None else config
+    knobs = Knobs(faults=faults, sanitize=sanitize, threshold=threshold)
 
     scale = scale or current_scale()
     axis = tuple(spes or spe_counts())
@@ -215,47 +221,21 @@ def reproduce_all(
         result["faults"] = plan.describe()
 
     workloads = {name: build() for name, build in builders(scale).items()}
-    tasks = []
-    slots: list[tuple[str, str, int]] = []  # (experiment, workload, spes)
-    for name, workload in workloads.items():
-        for n in axis:
-            tasks.extend(pair_tasks(workload, _cfg(paper_config(n))))
-            slots.append(("scaling", name, n))
-    for name, workload in workloads.items():
-        tasks.extend(pair_tasks(workload, _cfg(latency1_config(max(axis)))))
-        slots.append(("latency1", name, max(axis)))
+    scaling_tasks = plan_pairs(workloads, axis, knobs)
+    latency1_tasks = plan_pairs(
+        workloads, (max(axis),), knobs, machine=latency1_config
+    )
+    tasks = scaling_tasks + latency1_tasks
 
     log(f"running {len(tasks)} simulations "
         f"({len(workloads)} workloads x {len(axis)} SPE counts x 2 "
         f"variants + latency-1 study) ...")
-    batch = run_many_detailed(
-        tasks, jobs=jobs, cache=cache, progress=progress,
-        timeout=timeout, retries=retries, resume=resume,
-        checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir,
-        keep_checkpoints=keep_checkpoints,
+    done = run_many_detailed(
+        tasks, jobs=jobs, cache=cache, progress=progress, **batch
     )
-    if batch.failures and not keep_going:
-        raise TaskFailure.from_batch(tasks, batch.failures)
-    runs = batch.results
-
-    scalings: dict[str, ScalingResult] = {
-        name: ScalingResult(workload=name) for name in workloads
-    }
-    latency1_pairs: dict[str, PairResult] = {}
-    for i, (experiment, name, n) in enumerate(slots):
-        base, prefetch = runs[2 * i], runs[2 * i + 1]
-        if base is None or prefetch is None:
-            continue  # a failed half degrades the whole pair
-        pair = PairResult(
-            workload=name,
-            config=tasks[2 * i].config,
-            base=base,
-            prefetch=prefetch,
-        )
-        if experiment == "scaling":
-            scalings[name].pairs[n] = pair
-        else:
-            latency1_pairs[name] = pair
+    split = len(scaling_tasks)
+    scalings = assemble_pairs(workloads, scaling_tasks, done.results[:split])
+    latency1 = assemble_pairs(workloads, latency1_tasks, done.results[split:])
 
     result["experiments"]["scaling"] = {
         name: scaling_to_dict(s) for name, s in scalings.items() if s.pairs
@@ -283,9 +263,10 @@ def reproduce_all(
         for name, p in pairs_at_max.items()
     }
     result["experiments"]["latency1"] = {
-        name: pair_to_dict(pair) for name, pair in latency1_pairs.items()
+        name: pair_to_dict(s.pairs[max(axis)])
+        for name, s in latency1.items() if s.pairs
     }
-    if batch.failures:
+    if done.failures:
         result["degraded"] = [
             {
                 "label": tasks[i].label,
@@ -296,10 +277,10 @@ def reproduce_all(
                 # the error carried them (DataCorruptionError does).
                 "faults": info.faults,
             }
-            for i, info in sorted(batch.failures.items())
+            for i, info in sorted(done.failures.items())
         ]
         log(
-            f"degraded result: {len(batch.failures)} of {len(tasks)} "
+            f"degraded result: {len(done.failures)} of {len(tasks)} "
             f"task(s) failed; partial artifacts emitted"
         )
     return result

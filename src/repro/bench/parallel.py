@@ -540,14 +540,20 @@ def run_many_detailed(
     backoff: float = 0.5,
     journal: "SweepJournal | str | None" = "auto",
     resume: bool = False,
+    keep_going: bool = False,
     checkpoint_every: "int | None" = None,
     checkpoint_dir: "str | None" = None,
     keep_checkpoints: bool = False,
     on_retry: "Callable[[int, str, int], None] | None" = None,
 ) -> BatchResult:
-    """Execute ``tasks`` and return a :class:`BatchResult` (never raises
-    :class:`TaskFailure` — failed slots are ``None`` and described in
-    ``failures``).
+    """Execute ``tasks`` and return a :class:`BatchResult`.
+
+    This signature is the one declaration of the batch policy (timeout,
+    retries, resume, keep_going, machine checkpoints); every other
+    entry point forwards it.  A failed task raises :class:`TaskFailure`
+    once every other task has finished; with ``keep_going=True`` the
+    batch returns instead, failed slots ``None`` and described in
+    ``failures``.
 
     ``on_retry`` (if given) is called as ``on_retry(index, kind,
     attempt)`` whenever a transient failure of task ``index`` is about to
@@ -810,6 +816,8 @@ def run_many_detailed(
             except (ValueError, OSError, TypeError):
                 pass
 
+    if batch.failures and not keep_going:
+        raise TaskFailure.from_batch(tasks, batch.failures)
     return batch
 
 
@@ -818,18 +826,8 @@ def run_many(
     jobs: int | None = None,
     cache: ResultCache | None = None,
     progress: Callable[[str], None] | None = None,
-    *,
-    timeout: "float | None" = None,
-    retries: "int | None" = None,
-    backoff: float = 0.5,
-    journal: "SweepJournal | str | None" = "auto",
-    resume: bool = False,
-    keep_going: bool = False,
-    checkpoint_every: "int | None" = None,
-    checkpoint_dir: "str | None" = None,
-    keep_checkpoints: bool = False,
-    on_retry: "Callable[[int, str, int], None] | None" = None,
-) -> "list[RunResult]":
+    **batch,
+) -> "list[RunResult | None]":
     """Execute ``tasks`` and return their results in task order.
 
     Cached results are served first; the remainder run serially
@@ -838,19 +836,11 @@ def run_many(
     loop over :func:`~repro.bench.runner.run_workload` would produce —
     the simulator carries no global state and every run is deterministic.
 
-    Failures raise :class:`TaskFailure` after every other task finished;
-    with ``keep_going=True`` failed slots are returned as ``None``
-    instead (use :func:`run_many_detailed` for the failure taxonomy).
-    See :func:`run_many_detailed` for the resilience and
-    machine-checkpoint knobs.
+    ``batch`` is the batch policy of :func:`run_many_detailed`: failures
+    raise :class:`TaskFailure` unless ``keep_going=True``, which returns
+    failed slots as ``None`` (use :func:`run_many_detailed` for the
+    failure taxonomy).
     """
-    batch = run_many_detailed(
-        tasks, jobs=jobs, cache=cache, progress=progress,
-        timeout=timeout, retries=retries, backoff=backoff,
-        journal=journal, resume=resume,
-        checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir,
-        keep_checkpoints=keep_checkpoints, on_retry=on_retry,
-    )
-    if batch.failures and not keep_going:
-        raise TaskFailure.from_batch(tasks, batch.failures)
-    return batch.results  # type: ignore[return-value]
+    return run_many_detailed(
+        tasks, jobs=jobs, cache=cache, progress=progress, **batch
+    ).results

@@ -12,20 +12,39 @@ experiment shapes:
 run against the workload oracle (a run that produces wrong answers must
 never contribute a data point), and return plain dataclasses the report
 module renders into paper-style tables.
+
+Every front end (the CLI, :func:`repro.bench.export.reproduce_all`, the
+serving gateway) plans and assembles its runs through the same three
+pieces: :meth:`Knobs.setup` turns an SPE count plus the run knobs into
+a machine config and prefetch options, :func:`plan_pairs` lays out the
+(base, prefetch) tasks, and :func:`assemble_pairs` regroups finished
+runs into :class:`PairResult`/:class:`ScalingResult`.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from repro.cell.machine import Machine, RunResult
 from repro.compiler.passes import PrefetchOptions, prefetch_transform
 from repro.sim.config import MachineConfig, paper_config
 from repro.workloads.common import Workload, check_outputs
 
-__all__ = ["PairResult", "ScalingResult", "run_workload", "run_pair", "sweep"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.bench.parallel import RunTask
+
+__all__ = [
+    "PairResult",
+    "ScalingResult",
+    "Knobs",
+    "plan_pairs",
+    "assemble_pairs",
+    "run_workload",
+    "run_pair",
+    "sweep",
+]
 
 
 @dataclass
@@ -83,6 +102,88 @@ class ScalingResult:
         )
         baseline = pick(self.pairs[self.baseline_spes])
         return {n: baseline / pick(p) for n, p in sorted(self.pairs.items())}
+
+
+@dataclass(frozen=True)
+class Knobs:
+    """The run knobs every front end exposes, with their defaults.
+
+    :meth:`setup` is the one place they become a machine config and
+    prefetch options, so equal requests give equal
+    :class:`~repro.bench.parallel.RunTask` keys on every front end.
+    """
+
+    #: Main-memory latency override in cycles (``None`` = the machine's).
+    latency: int | None = None
+    #: Fault-plan spec (see :mod:`repro.faults.plan`), or ``None``.
+    faults: str | None = None
+    #: Run the invariant sanitizer.
+    sanitize: bool = False
+    #: The prefetch pass's worthwhileness threshold.
+    threshold: float = 0.5
+
+    def setup(
+        self,
+        spes: int,
+        machine: Callable[[int], MachineConfig] = paper_config,
+    ) -> tuple[MachineConfig, PrefetchOptions]:
+        """The machine config and prefetch options of a run on ``spes``
+        SPEs; ``machine`` builds the base config (the latency-1 study
+        passes :func:`~repro.sim.config.latency1_config`)."""
+        config = machine(spes)
+        if self.latency is not None:
+            config = config.with_latency(self.latency)
+        if self.faults:
+            config = config.with_faults(self.faults)
+        if self.sanitize:
+            config = config.replace(sanitize=True)
+        return config, PrefetchOptions(worthwhile_threshold=self.threshold)
+
+
+def plan_pairs(
+    workloads: Mapping[str, Workload],
+    spes: Iterable[int],
+    knobs: Knobs = Knobs(),
+    machine: Callable[[int], MachineConfig] = paper_config,
+) -> "list[RunTask]":
+    """The (base, prefetch) :class:`~repro.bench.parallel.RunTask` pair of
+    every workload at every SPE count, workload-major."""
+    from repro.bench.parallel import pair_tasks
+
+    spes = tuple(spes)
+    tasks = []
+    for workload in workloads.values():
+        for n in spes:
+            config, options = knobs.setup(n, machine)
+            tasks.extend(pair_tasks(workload, config, options=options))
+    return tasks
+
+
+def assemble_pairs(
+    workloads: Mapping[str, Workload],
+    tasks: "Sequence[RunTask]",
+    runs: "Sequence[RunResult | None]",
+) -> dict[str, ScalingResult]:
+    """Regroup consecutive (base, prefetch) task results into one
+    :class:`ScalingResult` per name of ``workloads``, keyed by SPE count.
+
+    ``workloads`` is the mapping the tasks were planned from; its names
+    label the results.  A pair with a failed half (a ``None`` run, as
+    ``keep_going`` batches return) is dropped, so a workload whose every
+    pair failed maps to an empty :class:`ScalingResult`.
+    """
+    out = {name: ScalingResult(workload=name) for name in workloads}
+    name_of = {id(workload): name for name, workload in workloads.items()}
+    for i in range(0, len(tasks), 2):
+        base, prefetch = runs[i], runs[i + 1]
+        if base is None or prefetch is None:
+            continue
+        task = tasks[i]
+        name = name_of[id(task.workload)]
+        out[name].pairs[task.config.num_spes] = PairResult(
+            workload=name, config=task.config, base=base, prefetch=prefetch,
+        )
+    return out
 
 
 def run_workload(
@@ -154,91 +255,50 @@ def run_pair(
     jobs: int | None = None,
     cache=None,
     progress: Callable[[str], None] | None = None,
-    timeout: "float | None" = None,
-    retries: "int | None" = None,
-    resume: bool = False,
-    checkpoint_every: "int | None" = None,
-    checkpoint_dir: "str | None" = None,
-    keep_checkpoints: bool = False,
 ) -> PairResult:
     """Run a workload with and without prefetching on the same machine.
 
     ``jobs``/``cache`` route the two runs through
     :func:`repro.bench.parallel.run_many`: ``jobs`` worker processes
     (default ``REPRO_BENCH_JOBS`` or serial) and an optional
-    :class:`~repro.bench.cache.ResultCache` of finished results.
-    ``timeout``/``retries``/``resume`` are the resilience knobs, and the
-    ``checkpoint_*`` arguments the machine-checkpoint knobs, of
-    :func:`~repro.bench.parallel.run_many_detailed`.
+    :class:`~repro.bench.cache.ResultCache` of finished results.  A
+    failed run raises :class:`~repro.bench.parallel.TaskFailure`.
     """
     from repro.bench.parallel import pair_tasks, run_many
 
     cfg = config if config is not None else paper_config()
-    base, pf = run_many(
-        pair_tasks(workload, cfg, options=options, max_cycles=max_cycles),
-        jobs=jobs, cache=cache, progress=progress,
-        timeout=timeout, retries=retries, resume=resume,
-        checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir,
-        keep_checkpoints=keep_checkpoints,
-    )
-    return PairResult(
-        workload=workload.name, config=cfg, base=base, prefetch=pf
-    )
+    workloads = {workload.name: workload}
+    tasks = pair_tasks(workload, cfg, options=options, max_cycles=max_cycles)
+    runs = run_many(tasks, jobs=jobs, cache=cache, progress=progress)
+    scaling = assemble_pairs(workloads, tasks, runs)[workload.name]
+    return scaling.pairs[cfg.num_spes]
 
 
 def sweep(
     build: Callable[[], Workload],
     spes: Sequence[int] = (1, 2, 4, 8),
-    config_for: Callable[[int], MachineConfig] = paper_config,
-    options: PrefetchOptions | None = None,
+    knobs: Knobs = Knobs(),
     jobs: int | None = None,
     cache=None,
     progress: Callable[[str], None] | None = None,
-    timeout: "float | None" = None,
-    retries: "int | None" = None,
-    resume: bool = False,
-    keep_going: bool = False,
-    checkpoint_every: "int | None" = None,
-    checkpoint_dir: "str | None" = None,
-    keep_checkpoints: bool = False,
+    **batch,
 ) -> ScalingResult:
     """Pair runs across SPE counts (the Figures 6-8 axes).
 
     ``build`` is called once; the same workload (hence identical inputs
-    and oracle) is reused across machine sizes.  All ``2 * len(spes)``
-    runs are independent, so with ``jobs > 1`` (or ``REPRO_BENCH_JOBS``
-    set) they fan out across worker processes; results are bit-identical
-    to the serial path either way, and ``cache`` serves already-finished
-    runs without simulating.
-
-    ``timeout``/``retries``/``resume`` are the resilience knobs of
-    :func:`~repro.bench.parallel.run_many_detailed`.  With
-    ``keep_going=True`` a permanently failing point is *dropped* from
-    the returned :class:`ScalingResult` (both variants must finish for a
-    pair to count) instead of aborting the sweep.
+    and oracle) is reused across machine sizes, each configured by
+    ``knobs``.  All ``2 * len(spes)`` runs go to
+    :func:`repro.bench.parallel.run_many` as one batch: ``jobs`` worker
+    processes, results bit-identical to the serial path, ``cache``
+    serving already-finished runs without simulating.  ``batch`` is the
+    batch policy of :func:`~repro.bench.parallel.run_many_detailed`;
+    under its ``keep_going=True`` a point with a failed half is dropped
+    from the returned :class:`ScalingResult` instead of aborting.
     """
-    from repro.bench.parallel import pair_tasks, run_many
+    from repro.bench.parallel import run_many
 
     workload = build()
-    tasks = []
-    for n in spes:
-        tasks.extend(pair_tasks(workload, config_for(n), options=options))
-    runs = run_many(
-        tasks, jobs=jobs, cache=cache, progress=progress,
-        timeout=timeout, retries=retries, resume=resume,
-        keep_going=keep_going,
-        checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir,
-        keep_checkpoints=keep_checkpoints,
-    )
-    result = ScalingResult(workload=workload.name)
-    for i, n in enumerate(spes):
-        base, prefetch = runs[2 * i], runs[2 * i + 1]
-        if base is None or prefetch is None:
-            continue  # keep_going dropped this point; see the progress log
-        result.pairs[n] = PairResult(
-            workload=workload.name,
-            config=tasks[2 * i].config,
-            base=base,
-            prefetch=prefetch,
-        )
-    return result
+    workloads = {workload.name: workload}
+    tasks = plan_pairs(workloads, spes, knobs)
+    runs = run_many(tasks, jobs=jobs, cache=cache, progress=progress, **batch)
+    return assemble_pairs(workloads, tasks, runs)[workload.name]

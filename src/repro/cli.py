@@ -32,6 +32,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Sequence
 
@@ -43,50 +44,37 @@ from repro.bench.report import (
     scalability_table,
     table5,
 )
-from repro.bench.runner import run_pair, run_workload, sweep
+from repro.bench.runner import (
+    Knobs,
+    assemble_pairs,
+    plan_pairs,
+    run_pair,
+    run_workload,
+    sweep,
+)
 from repro.bench.scale import SCALES, builders
-from repro.compiler.passes import PrefetchOptions, prefetch_transform
-from repro.sim.config import MachineConfig, paper_config
+from repro.compiler.passes import prefetch_transform
 from repro.sim.stats import Bucket
 
 __all__ = ["main", "build_parser"]
 
 
-def _apply_robustness(cfg: MachineConfig, args: argparse.Namespace) -> MachineConfig:
-    """Fold ``--faults`` / ``--sanitize`` into a machine config."""
-    spec = getattr(args, "faults", None)
-    if spec:
-        from repro.faults import FaultPlanError
-
-        try:
-            cfg = cfg.with_faults(spec)
-        except FaultPlanError as exc:
-            raise SystemExit(f"--faults: {exc}")
-    if getattr(args, "sanitize", False):
-        cfg = cfg.replace(sanitize=True)
-    return cfg
-
-
-def _validate_faults(args: argparse.Namespace) -> "str | None":
-    """Eagerly parse ``--faults`` so a typo'd key fails before any
-    workload is built or worker pool spawned; returns the raw spec."""
-    spec = getattr(args, "faults", None)
-    if spec:
+def _knobs(args: argparse.Namespace) -> Knobs:
+    """The run knobs this subcommand's flags select (absent flags keep
+    the :class:`Knobs` defaults).  A typo'd ``--faults`` key fails here,
+    before any workload is built or worker pool spawned."""
+    if getattr(args, "faults", None):
         from repro.faults import FaultPlanError
         from repro.faults.plan import FaultPlan
 
         try:
-            FaultPlan.parse(spec)
+            FaultPlan.parse(args.faults)
         except FaultPlanError as exc:
             raise SystemExit(f"--faults: {exc}")
-    return spec
-
-
-def _config(args: argparse.Namespace) -> MachineConfig:
-    cfg = paper_config(num_spes=args.spes)
-    if args.latency is not None:
-        cfg = cfg.with_latency(args.latency)
-    return _apply_robustness(cfg, args)
+    return Knobs(**{
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(Knobs) if hasattr(args, f.name)
+    })
 
 
 def _cache(args: argparse.Namespace):
@@ -102,8 +90,8 @@ def _progress(msg: str) -> None:
     print(f"# {msg}", file=sys.stderr)
 
 
-def _resilience_opts(args: argparse.Namespace) -> dict:
-    """The run_many resilience knobs selected on the command line."""
+def _batch_policy(args: argparse.Namespace) -> dict:
+    """The run_many batch policy selected on the command line."""
     if getattr(args, "resume", False) and not getattr(args, "cache", True):
         raise SystemExit(
             "--resume needs the result cache (the journal is validated "
@@ -113,6 +101,7 @@ def _resilience_opts(args: argparse.Namespace) -> dict:
         "timeout": getattr(args, "task_timeout", None),
         "retries": getattr(args, "retries", None),
         "resume": getattr(args, "resume", False),
+        "keep_going": getattr(args, "keep_going", False),
         "checkpoint_every": getattr(args, "checkpoint_every", None),
         "checkpoint_dir": getattr(args, "checkpoint_dir", None),
         "keep_checkpoints": getattr(args, "keep_checkpoints", False),
@@ -153,9 +142,8 @@ def _print_run(label: str, run) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    cfg, options = _knobs(args).setup(args.spes)
     workload = _workload(args)
-    cfg = _config(args)
-    options = PrefetchOptions(worthwhile_threshold=args.threshold)
     if args.compare:
         if args.restore:
             raise SystemExit("--restore is incompatible with --compare")
@@ -212,20 +200,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _validate_faults(args)
-    build = builders(args.scale)[args.benchmark]
-
-    def config_for(n: int) -> MachineConfig:
-        cfg = paper_config(n)
-        if args.latency is not None:
-            cfg = cfg.with_latency(args.latency)
-        return _apply_robustness(cfg, args)
-
+    knobs = _knobs(args)
     cache = _cache(args)
     scaling = sweep(
-        build, spes=tuple(args.spes), config_for=config_for,
+        builders(args.scale)[args.benchmark], spes=args.spes, knobs=knobs,
         jobs=args.jobs, cache=cache, progress=_progress,
-        keep_going=args.keep_going, **_resilience_opts(args),
+        **_batch_policy(args),
     )
     _cache_summary(cache)
     if not scaling.pairs:
@@ -239,29 +219,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    from repro.bench.parallel import pair_tasks, run_many
-    from repro.bench.runner import PairResult
+    from repro.bench.parallel import run_many
 
-    cfg = _config(args)
+    knobs = _knobs(args)
     workloads = {name: build() for name, build in builders(args.scale).items()}
-    tasks = []
-    for workload in workloads.values():
-        tasks.extend(pair_tasks(workload, cfg))
+    tasks = plan_pairs(workloads, (args.spes,), knobs)
     cache = _cache(args)
-    results = run_many(
+    runs = run_many(
         tasks, jobs=args.jobs, cache=cache, progress=_progress,
-        **_resilience_opts(args),
+        **_batch_policy(args),
     )
     _cache_summary(cache)
     pairs = {
-        name: PairResult(
-            workload=name, config=cfg,
-            base=results[2 * i], prefetch=results[2 * i + 1],
-        )
-        for i, name in enumerate(workloads)
+        name: scaling.pairs[args.spes]
+        for name, scaling in assemble_pairs(workloads, tasks, runs).items()
     }
-    runs = {name: p.base for name, p in pairs.items()}
-    print(table5(runs))
+    print(table5({name: p.base for name, p in pairs.items()}))
     print()
     print(breakdown_table(pairs, prefetch=False))
     print()
@@ -272,12 +245,11 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_disasm(args: argparse.Namespace) -> int:
+    _, options = _knobs(args).setup(1)  # the pass ignores the SPE count
     workload = _workload(args)
     activity = workload.activity
     if args.prefetch:
-        activity = prefetch_transform(
-            activity, PrefetchOptions(worthwhile_threshold=args.threshold)
-        )
+        activity = prefetch_transform(activity, options)
     templates = activity.templates
     if args.template:
         templates = [activity.template(args.template)]
@@ -289,14 +261,14 @@ def cmd_disasm(args: argparse.Namespace) -> int:
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     from repro.bench.export import reproduce_all, scaling_to_csv, to_json
-    from repro.bench.runner import sweep as _sweep
 
+    knobs = _knobs(args)
     cache = _cache(args)
-    opts = _resilience_opts(args)
     data = reproduce_all(
         scale=args.scale, spes=tuple(args.spes), progress=_progress,
-        jobs=args.jobs, cache=cache, keep_going=args.keep_going,
-        faults=_validate_faults(args), **opts,
+        jobs=args.jobs, cache=cache, faults=knobs.faults,
+        sanitize=knobs.sanitize, threshold=knobs.threshold,
+        **_batch_policy(args),
     )
     text = to_json(data)
     if args.output:
@@ -306,29 +278,11 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     else:
         print(text)
     if args.csv:
-        from repro.bench.scale import builders as _builders
-
-        def csv_config(n: int) -> MachineConfig:
-            # Same config reproduce_all used, fault plan included, so the
-            # sweep replays from the cache instead of re-simulating.
-            cfg = paper_config(n)
-            if getattr(args, "faults", None):
-                cfg = cfg.with_faults(args.faults)
-            return cfg
-
-        # With the cache on, these sweeps replay the runs reproduce_all
-        # just finished, so the CSV costs no extra simulation.
+        # The CSV rows come from the scaling results just assembled; a
+        # workload with no completed point has none (see "degraded").
         with open(args.csv, "w") as fh:
-            for name, build in _builders(args.scale).items():
-                scaling = _sweep(
-                    build, spes=tuple(args.spes), config_for=csv_config,
-                    jobs=args.jobs, cache=cache,
-                    keep_going=args.keep_going, **opts,
-                )
-                if scaling.pairs:
-                    fh.write(scaling_to_csv(scaling))
-                else:
-                    _progress(f"csv: dropping {name} (no completed points)")
+            for scaling in data["experiments"]["scaling"].values():
+                fh.write(scaling_to_csv(scaling))
         print(f"wrote {args.csv}", file=sys.stderr)
     _cache_summary(cache)
     if data.get("degraded"):
@@ -344,13 +298,12 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     from repro.cell.machine import Machine
     from repro.obs.trace import Tracer
 
+    cfg, options = _knobs(args).setup(args.spes)
     workload = _workload(args)
     activity = workload.activity
     if args.prefetch:
-        activity = prefetch_transform(
-            activity, PrefetchOptions(worthwhile_threshold=args.threshold)
-        )
-    machine = Machine(_config(args))
+        activity = prefetch_transform(activity, options)
+    machine = Machine(cfg)
     tracer = Tracer()
     machine.attach_tracer(tracer)
     machine.load(activity)
@@ -374,16 +327,15 @@ def cmd_profile(args: argparse.Namespace) -> int:
     )
     from repro.obs.hub import HubConfig
 
+    cfg, options = _knobs(args).setup(args.spes)
     workload = _workload(args)
-    cfg = _config(args)
     hub_config = (
         HubConfig(bucket_cycles=args.bucket_cycles,
                   sample_interval=args.bucket_cycles)
         if args.bucket_cycles else None
     )
     result, profile = profile_workload(
-        workload, cfg, prefetch=args.prefetch,
-        options=PrefetchOptions(worthwhile_threshold=args.threshold),
+        workload, cfg, prefetch=args.prefetch, options=options,
         hub_config=hub_config, trace_jsonl=args.trace_jsonl,
     )
     label = "with prefetching" if args.prefetch else "original DTA"
@@ -443,7 +395,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+    cfg, _ = _knobs(args).setup(args.spes)
     rows = [
         ["SPEs", cfg.num_spes],
         ["nodes", cfg.num_nodes],
@@ -592,20 +544,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, benchmark=True, add_spes=True):
+    def workload_opts(p, benchmark=True):
         if benchmark:
             p.add_argument("benchmark", choices=sorted(builders()),
                            help="workload to run")
-        if add_spes:
-            p.add_argument("--spes", type=int, default=8,
-                           help="number of SPEs (default 8)")
-        p.add_argument("--latency", type=int, default=None,
-                       help="override main-memory latency in cycles")
         p.add_argument("--scale", choices=sorted(SCALES), default=None,
                        help="workload scale (default: REPRO_BENCH_SCALE "
                             "or 'default')")
         p.add_argument("--threshold", type=float, default=0.5,
                        help="prefetch worthwhileness threshold")
+
+    def machine_opts(p, axis=False, latency=True):
+        if axis:
+            p.add_argument("--spes", type=int, nargs="+",
+                           default=[1, 2, 4, 8],
+                           help="SPE counts to sweep (default 1 2 4 8)")
+        else:
+            p.add_argument("--spes", type=int, default=8,
+                           help="number of SPEs (default 8)")
+        if latency:
+            p.add_argument("--latency", type=int, default=None,
+                           help="override main-memory latency in cycles")
         p.add_argument("--faults", default=None, metavar="SPEC",
                        help="inject seeded faults, e.g. "
                             "seed=3,dma_drop=0.05,bus_dup=0.02 "
@@ -661,7 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "'degraded' manifest naming each failure")
 
     p_run = sub.add_parser("run", help="run one benchmark")
-    common(p_run)
+    workload_opts(p_run)
+    machine_opts(p_run)
     group = p_run.add_mutually_exclusive_group()
     group.add_argument("--prefetch", action="store_true", default=True,
                        help="apply the prefetch pass (default)")
@@ -684,20 +644,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="scaling sweep (Figures 6-8)")
-    common(p_sweep, add_spes=False)
-    p_sweep.add_argument("--spes", type=int, nargs="+", default=[1, 2, 4, 8])
+    workload_opts(p_sweep)
+    machine_opts(p_sweep, axis=True)
     parallel_opts(p_sweep, keep_going=True)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_tables = sub.add_parser(
         "tables", help="Figure 5 / Figure 9 / Table 5 at one machine size"
     )
-    common(p_tables, benchmark=False)
+    workload_opts(p_tables, benchmark=False)
+    machine_opts(p_tables)
     parallel_opts(p_tables)
     p_tables.set_defaults(func=cmd_tables)
 
     p_dis = sub.add_parser("disasm", help="disassemble thread templates")
-    common(p_dis)
+    workload_opts(p_dis)
     p_dis.add_argument("--prefetch", action="store_true",
                        help="disassemble the transformed templates")
     p_dis.add_argument("--template", default=None,
@@ -705,13 +666,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_dis.set_defaults(func=cmd_disasm)
 
     p_info = sub.add_parser("info", help="print the machine configuration")
-    common(p_info, benchmark=False)
+    machine_opts(p_info)
     p_info.set_defaults(func=cmd_info)
 
     p_tl = sub.add_parser(
         "timeline", help="trace one run and print a per-SPU Gantt chart"
     )
-    common(p_tl)
+    workload_opts(p_tl)
+    machine_opts(p_tl)
     group_tl = p_tl.add_mutually_exclusive_group()
     group_tl.add_argument("--prefetch", action="store_true", default=True)
     group_tl.add_argument("--no-prefetch", dest="prefetch",
@@ -723,7 +685,8 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="run one benchmark under the observability subsystem",
     )
-    common(p_prof)
+    workload_opts(p_prof)
+    machine_opts(p_prof)
     group_prof = p_prof.add_mutually_exclusive_group()
     group_prof.add_argument("--prefetch", action="store_true", default=True,
                             help="apply the prefetch pass (default)")
@@ -759,8 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser(
         "reproduce", help="run the full experiment matrix, export JSON/CSV"
     )
-    common(p_rep, benchmark=False, add_spes=False)
-    p_rep.add_argument("--spes", type=int, nargs="+", default=[1, 2, 4, 8])
+    workload_opts(p_rep, benchmark=False)
+    machine_opts(p_rep, axis=True, latency=False)
     p_rep.add_argument("--output", "-o", default=None,
                        help="write JSON here instead of stdout")
     p_rep.add_argument("--csv", default=None,

@@ -198,23 +198,7 @@ def profile_activity(
     ``trace_jsonl`` additionally streams the raw profiling events to a
     JSONL file (path or open text file).
     """
-    from repro.cell.machine import Machine
-    from repro.sim.config import MachineConfig
-
-    machine = Machine(config if config is not None else MachineConfig())
-    hub = MetricsHub(hub_config)
-    machine.attach_hub(hub)
-    interval_sink = IntervalSink()
-    sink: TraceSink = interval_sink
-    if trace_jsonl is not None:
-        sink = TeeSink([interval_sink, JsonlSink(trace_jsonl)])
-    tracer = Tracer(kinds=PROFILE_KINDS, sink=sink)
-    machine.attach_tracer(tracer)
-    machine.load(activity)
-    result = machine.run(max_cycles=max_cycles)
-    interval_sink.finish(max(1, result.cycles))
-    tracer.close()
-    return result, build_profile(result, machine, hub, interval_sink)
+    return _profile(activity, config, max_cycles, hub_config, trace_jsonl)[1:]
 
 
 def profile_workload(
@@ -238,6 +222,21 @@ def profile_workload(
     activity = workload.activity
     if prefetch:
         activity = prefetch_transform(activity, options)
+    machine, result, profile = _profile(
+        activity, config, max_cycles, hub_config, trace_jsonl
+    )
+    if verify:
+        errors = check_outputs(workload, machine)
+        if errors:
+            raise AssertionError(
+                f"{workload.name} ({'PF' if prefetch else 'base'}): wrong "
+                f"output:\n" + "\n".join(errors[:10])
+            )
+    return result, profile
+
+
+def _profile(activity, config, max_cycles, hub_config, trace_jsonl):
+    """:func:`profile_activity`, also returning the finished machine."""
     from repro.cell.machine import Machine
     from repro.sim.config import MachineConfig
 
@@ -254,14 +253,7 @@ def profile_workload(
     result = machine.run(max_cycles=max_cycles)
     interval_sink.finish(max(1, result.cycles))
     tracer.close()
-    if verify:
-        errors = check_outputs(workload, machine)
-        if errors:
-            raise AssertionError(
-                f"{workload.name} ({'PF' if prefetch else 'base'}): wrong "
-                f"output:\n" + "\n".join(errors[:10])
-            )
-    return result, build_profile(result, machine, hub, interval_sink)
+    return machine, result, build_profile(result, machine, hub, interval_sink)
 
 
 def metrics_csv(profile: Profile) -> str:

@@ -5,11 +5,11 @@ Every request body is a JSON object::
     {"v": 1, "kind": "sweep", "client": "alice", "priority": 5,
      "params": {"benchmark": "mmul", "spes": [1, 2, 4, 8]}}
 
-Validation is **strict and eager** (the ``_validate_faults`` discipline
-of the CLI): unknown keys, wrong types, out-of-range values and typo'd
-fault specs all raise :class:`ProtocolError` *before* a job is admitted
-— a bad request must be rejected at the front door, never discovered
-inside a worker process.
+Validation is **strict and eager** (the CLI's ``--faults`` discipline):
+unknown keys, wrong types, out-of-range values and typo'd fault specs
+all raise :class:`ProtocolError` *before* a job is admitted — a bad
+request must be rejected at the front door, never discovered inside a
+worker process.
 
 Result payloads embed :data:`SCHEMA_VERSION` — the same constant
 :func:`repro.bench.export.run_to_dict` stamps into every export — so a
@@ -24,9 +24,9 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.bench.export import SCHEMA_VERSION
-from repro.bench.parallel import RunTask, pair_tasks
+from repro.bench.parallel import RunTask
+from repro.bench.runner import Knobs, plan_pairs
 from repro.bench.scale import SCALES, builders, current_scale
-from repro.sim.config import MachineConfig, paper_config
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -86,6 +86,13 @@ class JobSpec:
     sanitize: bool = False
     threshold: float = 0.5
     bucket_cycles: "int | None" = None
+
+    @property
+    def knobs(self) -> Knobs:
+        return Knobs(
+            latency=self.latency, faults=self.faults,
+            sanitize=self.sanitize, threshold=self.threshold,
+        )
 
     @property
     def label(self) -> str:
@@ -286,43 +293,21 @@ def parse_request(payload: object) -> JobRequest:
     return JobRequest(spec=spec, client=client, priority=priority)
 
 
-def _config_for(spec: JobSpec, spes: int) -> MachineConfig:
-    cfg = paper_config(spes)
-    if spec.latency is not None:
-        cfg = cfg.with_latency(spec.latency)
-    if spec.faults:
-        cfg = cfg.with_faults(spec.faults)
-    if spec.sanitize:
-        cfg = cfg.replace(sanitize=True)
-    return cfg
-
-
 def build_tasks(spec: JobSpec) -> "list[RunTask]":
     """The :class:`RunTask` list a spec's simulation work decomposes into.
 
     ``run``/``profile`` map to one task, ``sweep`` to a (base, prefetch)
-    pair per SPE count — exactly the tasks :func:`repro.bench.runner.sweep`
-    would submit, so results (and cache entries) are shared with the CLI.
+    pair per SPE count.  Both are planned by the same
+    :class:`~repro.bench.runner.Knobs` and
+    :func:`~repro.bench.runner.plan_pairs` the CLI uses, so a served job
+    and the equivalent ``repro`` command have equal :meth:`RunTask.key`
+    values and share result-cache entries.
     """
-    from repro.compiler.passes import PrefetchOptions
-
     workload = builders(spec.scale)[spec.benchmark]()
-    options = PrefetchOptions(worthwhile_threshold=spec.threshold)
-    tasks: "list[RunTask]" = []
     if spec.kind == "sweep":
-        for n in spec.spes:
-            tasks.extend(
-                pair_tasks(workload, _config_for(spec, n), options=options)
-            )
-    else:
-        tasks.append(
-            RunTask(
-                workload, _config_for(spec, spec.spes[0]),
-                prefetch=spec.prefetch,
-                options=options if spec.prefetch else None,
-            )
-        )
-    return tasks
+        return plan_pairs({workload.name: workload}, spec.spes, spec.knobs)
+    config, options = spec.knobs.setup(spec.spes[0])
+    return [RunTask(workload, config, spec.prefetch, options=options)]
 
 
 def job_key(spec: JobSpec, tasks: "list[RunTask]") -> str:

@@ -68,12 +68,10 @@ class Callback:
     Replaces the opaque closures the heap used to hold: a descriptor is
     ``(kind, owner, payload)`` where ``kind`` names a registered executor,
     ``owner`` is the component (or other snapshot-addressable object) the
-    event belongs to and ``payload`` is a tuple of plain data.  Descriptors
-    support lazy cancellation: a cancelled descriptor stays in the heap
-    but is skipped (and counted as stale) at dispatch.
+    event belongs to and ``payload`` is a tuple of plain data.
     """
 
-    __slots__ = ("kind", "owner", "payload", "cancelled")
+    __slots__ = ("kind", "owner", "payload")
 
     def __init__(self, kind: str, owner: object, payload: tuple = ()) -> None:
         if kind not in _CALLBACK_KINDS:
@@ -81,7 +79,6 @@ class Callback:
         self.kind = kind
         self.owner = owner
         self.payload = payload
-        self.cancelled = False
 
     def __call__(self) -> None:
         _CALLBACK_KINDS[self.kind](self.owner, *self.payload)
@@ -92,14 +89,13 @@ class Callback:
 
     # __slots__ classes need explicit pickle support.
     def __getstate__(self) -> tuple:
-        return (self.kind, self.owner, self.payload, self.cancelled)
+        return (self.kind, self.owner, self.payload)
 
     def __setstate__(self, state: tuple) -> None:
-        self.kind, self.owner, self.payload, self.cancelled = state
+        self.kind, self.owner, self.payload = state
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        flag = " cancelled" if self.cancelled else ""
-        return f"<Callback {self.describe()}{flag}>"
+        return f"<Callback {self.describe()}>"
 
 
 class Engine:
@@ -227,24 +223,15 @@ class Engine:
         self._seq += 1
         heapq.heappush(self._heap, (cycle, -1, 0, self._seq, callback))
 
-    def cancel(self, callback: Callback) -> None:
-        """Lazily cancel a pending :class:`Callback` descriptor.
-
-        The heap entry stays behind (and is skipped at dispatch, counted
-        in ``stale_skipped``) — exactly the lazy-deletion discipline
-        superseded component ticks already use.  Idempotent.
-        """
-        if not callback.cancelled:
-            callback.cancelled = True
-            self._callbacks -= 1
-
     @staticmethod
     def _entry_live(entry: tuple) -> bool:
-        """True when a heap entry will actually dispatch (not lazily dead)."""
+        """True when a heap entry will actually dispatch (not a superseded
+        tick); callbacks are always live."""
         target = entry[4]
-        if isinstance(target, Component):
-            return target._scheduled_at == entry[0]
-        return not target.cancelled
+        return (
+            not isinstance(target, Component)
+            or target._scheduled_at == entry[0]
+        )
 
     def _compact(self) -> None:
         """Drop stale heap entries and re-heapify in place."""
@@ -323,9 +310,6 @@ class Engine:
                             )
                         self.schedule(target, nxt)
                 else:
-                    if target.cancelled:
-                        self.stale_skipped += 1
-                        continue  # lazily-cancelled descriptor
                     self._callbacks -= 1
                     self.callbacks_dispatched += 1
                     target()
@@ -366,9 +350,8 @@ class Engine:
 
     def peek_events(self, limit: int = 8) -> list[str]:
         """The next ``limit`` *live* queued events, formatted, in dispatch
-        order — stale lazily-deleted ticks and cancelled callbacks are
-        filtered out so deadlock/livelock/limit reports never name dead
-        events."""
+        order — stale lazily-deleted ticks are filtered out so
+        deadlock/livelock/limit reports never name dead events."""
         # nsmallest over a filtering generator: O(n log limit) with no
         # copy of the heap, instead of the old filter-everything-and-sort
         # O(n log n) pass (peek runs inside limit-exceeded reporting and

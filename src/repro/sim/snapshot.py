@@ -61,7 +61,9 @@ __all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint",
            "read_header", "FORMAT_VERSION", "MAGIC"]
 
 MAGIC = "repro-checkpoint"
-FORMAT_VERSION = 1
+#: Version 2: :class:`~repro.sim.engine.Callback` state dropped its
+#: cancellation flag.
+FORMAT_VERSION = 2
 
 #: Machine attributes that belong to the *run harness*, not the machine
 #: state: re-initialized fresh on restore, never serialized.

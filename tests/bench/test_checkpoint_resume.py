@@ -187,7 +187,7 @@ class TestFailureKeepsCheckpoint:
         cache = ResultCache(tmp_path / "cache")
         task = FailAfterCheckpointTask("doomed")
         batch = run_many_detailed(
-            [task], cache=cache, checkpoint_every=10,
+            [task], cache=cache, checkpoint_every=10, keep_going=True,
         )
         assert not batch.complete
         path = str(tmp_path / "cache" / "checkpoints" / "stub-doomed.ckpt")
@@ -214,7 +214,7 @@ class TestTimeoutResumesFromCheckpoint:
         task = HangUnlessRestoredTask("hang-forever")
         batch = run_many_detailed(
             [task], journal=None,
-            timeout=1.0, retries=0, backoff=0.1,
+            timeout=1.0, retries=0, backoff=0.1, keep_going=True,
             checkpoint_every=None,  # layer off: no snapshot, plain timeout
         )
         assert not batch.complete

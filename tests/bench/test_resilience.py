@@ -144,7 +144,7 @@ class TestTimeouts:
     def test_hung_task_times_out_and_fails(self):
         batch = run_many_detailed(
             [HangTask("hang")], jobs=1, timeout=0.4, retries=0, backoff=0,
-            journal=None,
+            journal=None, keep_going=True,
         )
         assert batch.results == [None]
         info = batch.failures[0]
@@ -176,6 +176,7 @@ class TestTimeouts:
         tasks = [StubTask("a", 2), HangTask("hang"), StubTask("b", 3)]
         batch = run_many_detailed(
             tasks, jobs=2, timeout=0.5, retries=0, backoff=0, journal=None,
+            keep_going=True,
         )
         assert batch.results[0] is not None and batch.results[2] is not None
         assert set(batch.failures) == {1}
@@ -204,7 +205,7 @@ class TestWorkerCrash:
         # bounds the test if kill delivery is ever delayed.
         batch = run_many_detailed(
             [KillAlwaysTask("poison")], jobs=2, timeout=30, retries=1,
-            backoff=0, journal=None,
+            backoff=0, journal=None, keep_going=True,
         )
         info = batch.failures[0]
         assert info.kind == CRASH
@@ -218,7 +219,7 @@ class TestDeterministicErrors:
         kwargs = dict(timeout=30) if pooled else {}
         batch = run_many_detailed(
             [RaiseTask("boom")], jobs=2 if pooled else 1, retries=5,
-            backoff=0, journal=None, **kwargs,
+            backoff=0, journal=None, keep_going=True, **kwargs,
         )
         info = batch.failures[0]
         assert info.kind == ERROR
@@ -255,14 +256,16 @@ class TestJournalAndResume:
         bad.oracle["C"][0] += 1  # sabotage: wrong output every time
         tasks = [RunTask(bad, paper_config(1), prefetch=False)]
         cache = ResultCache(tmp_path / "cache")
-        first = run_many_detailed(tasks, cache=cache)
+        first = run_many_detailed(tasks, cache=cache, keep_going=True)
         assert first.failures[0].kind == ERROR
 
         def forbidden(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("resume re-simulated a deterministic failure")
 
         monkeypatch.setattr("repro.bench.parallel.run_workload", forbidden)
-        second = run_many_detailed(tasks, cache=cache, resume=True)
+        second = run_many_detailed(
+            tasks, cache=cache, resume=True, keep_going=True,
+        )
         assert second.resumed == 1
         info = second.failures[0]
         assert info.kind == ERROR

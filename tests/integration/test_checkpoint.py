@@ -124,7 +124,6 @@ def _heap_callbacks(machine, kind):
     return [
         entry[4] for entry in machine.engine._heap
         if isinstance(entry[4], Callback) and entry[4].kind == kind
-        and not entry[4].cancelled
     ]
 
 

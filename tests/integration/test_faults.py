@@ -208,7 +208,7 @@ class TestDegradedManifests:
         workload = builders("test")["mmul"]()
         cfg = MachineConfig().with_faults(UNRECOVERABLE)
         task = RunTask(workload, cfg, prefetch=True)
-        batch = run_many_detailed([task], jobs=1, retries=0)
+        batch = run_many_detailed([task], jobs=1, retries=0, keep_going=True)
         assert not batch.complete
         info = batch.failures[0]
         assert isinstance(info.error, DataCorruptionError)

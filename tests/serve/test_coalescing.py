@@ -60,13 +60,8 @@ def sweep_payload_direct(spes=(1, 2)) -> dict:
     from repro.bench.export import scaling_to_dict
     from repro.bench.runner import sweep
     from repro.bench.scale import builders
-    from repro.compiler.passes import PrefetchOptions
-    from repro.sim.config import paper_config
 
-    out = scaling_to_dict(sweep(
-        builders("test")["bitcnt"], spes=spes, config_for=paper_config,
-        options=PrefetchOptions(worthwhile_threshold=0.5),
-    ))
+    out = scaling_to_dict(sweep(builders("test")["bitcnt"], spes=spes))
     out["schema_version"] = 1
     out["kind"] = "sweep"
     return out

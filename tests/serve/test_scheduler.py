@@ -95,8 +95,6 @@ class TestLifecycle:
         from repro.bench.export import scaling_to_dict
         from repro.bench.runner import sweep
         from repro.bench.scale import builders
-        from repro.compiler.passes import PrefetchOptions
-        from repro.sim.config import paper_config
 
         async def main():
             sched = JobScheduler(cache=cache, workers=1)
@@ -108,11 +106,7 @@ class TestLifecycle:
 
         record = asyncio.run(main())
         assert record.state == DONE
-        direct = scaling_to_dict(sweep(
-            builders("test")["bitcnt"], spes=(1, 2),
-            config_for=paper_config,
-            options=PrefetchOptions(worthwhile_threshold=0.5),
-        ))
+        direct = scaling_to_dict(sweep(builders("test")["bitcnt"], spes=(1, 2)))
         payload = dict(record.result)
         assert payload.pop("schema_version") == 1
         assert payload.pop("kind") == "sweep"
