@@ -7,39 +7,34 @@ wall-clock time and nothing else.  This module is the single execution
 funnel for the bench layer: :func:`run_many` takes a list of
 :class:`RunTask` descriptions, serves what it can from a
 :class:`~repro.bench.cache.ResultCache`, executes the rest (serially or
-on a ``ProcessPoolExecutor``) and returns results in task order,
-bit-identical to a serial run.
+in child processes, one per task attempt, at most ``jobs`` at once) and
+returns results in task order, bit-identical to a serial run.
 
 The worker count comes from the ``jobs`` argument, falling back to the
-``REPRO_BENCH_JOBS`` environment variable and then to 1 (serial).  Pool
-construction failures — missing ``/dev/shm`` semaphores in sandboxes,
-fork restrictions — degrade gracefully to the serial path.
+``REPRO_BENCH_JOBS`` environment variable and then to 1 (serial).  When
+no child process can be started (fork restrictions, descriptor limits)
+the batch degrades gracefully to the serial path.
 
 Resilience
 ----------
-Production-scale sweeps must survive partial failure, so the pool path
-layers three defenses over plain fan-out:
+Production-scale sweeps must survive partial failure, so the
+child-process path layers two defenses over plain fan-out.  Each child
+runs exactly one task, so both touch only the task at fault:
 
 * **Timeouts.**  With a per-task wall-clock ``timeout`` (seconds; or
   ``REPRO_BENCH_TASK_TIMEOUT``; default off) the *parent* watches every
-  outstanding future.  A task that exceeds its budget is declared hung:
-  the pool's workers are terminated (a running future cannot be
-  cancelled), unaffected tasks are resubmitted without losing a retry
-  attempt, and the hung task is retried with backoff or failed with
-  kind :data:`TIMEOUT`.  Setting a timeout forces the pool path even
-  for ``jobs=1`` so enforcement is always parent-side.
+  running child.  A task that exceeds its budget is declared hung: its
+  child is killed and the task is retried with backoff or failed with
+  kind :data:`TIMEOUT`.  Setting a timeout forces the child-process
+  path even for ``jobs=1`` so enforcement is always parent-side.
 * **Failure taxonomy + bounded retry.**  Failures are classified as
-  :data:`TIMEOUT` (wall-clock exceeded), :data:`CRASH` (the worker
-  process died — OOM kill, SIGKILL, ``BrokenProcessPool``) or
-  :data:`ERROR` (the task raised a deterministic exception).  Timeouts
-  and crashes are transient and retried up to ``retries`` times
-  (``REPRO_BENCH_RETRIES``, default 2) with exponential backoff;
+  :data:`TIMEOUT` (wall-clock exceeded), :data:`CRASH` (the task's
+  child process died without reporting — OOM kill, SIGKILL, segfault)
+  or :data:`ERROR` (the task raised a deterministic exception).
+  Timeouts and crashes are transient and retried up to ``retries``
+  times (``REPRO_BENCH_RETRIES``, default 2) with exponential backoff;
   deterministic errors fail fast and are never retried — re-running a
   deterministic simulator on the same inputs cannot change the outcome.
-* **Crash recovery.**  ``BrokenProcessPool`` breaks every outstanding
-  future, not just the culprit's; the pool is rebuilt and surviving
-  tasks are resubmitted (each outstanding task is charged one attempt,
-  which bounds the damage a poison task can do to its retry budget).
 
 Completed tasks are checkpointed incrementally: results land in the
 cache *and* an append-only :class:`~repro.bench.journal.SweepJournal`
@@ -55,6 +50,8 @@ callers emit partial artifacts (see
 from __future__ import annotations
 
 import heapq
+import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import threading
@@ -92,7 +89,7 @@ __all__ = [
 
 #: Failure taxonomy: the task exceeded its wall-clock budget.
 TIMEOUT = "timeout"
-#: Failure taxonomy: the worker process died (SIGKILL, OOM, broken pool).
+#: Failure taxonomy: the task's child process died (SIGKILL, OOM, segfault).
 CRASH = "worker-crash"
 #: Failure taxonomy: the task raised a deterministic exception.
 ERROR = "error"
@@ -103,7 +100,7 @@ class TaskTimeout(RuntimeError):
 
 
 class WorkerCrash(RuntimeError):
-    """The worker process executing a task died."""
+    """The child process executing a task died."""
 
 
 class SweepTerminated(BaseException):
@@ -217,9 +214,9 @@ class RunTask:
     """One simulated run, fully described and picklable.
 
     Mirrors the signature of :func:`~repro.bench.runner.run_workload`;
-    workers rebuild nothing — the workload (activity, oracle, params)
-    ships to the worker and the prefetch transformation, simulation and
-    oracle check all happen there.
+    child processes rebuild nothing — the workload (activity, oracle,
+    params) is handed to the task's child and the prefetch
+    transformation, simulation and oracle check all happen there.
 
     The checkpoint fields describe *how* this attempt executes, not
     *what* it computes — a resumed run is bit-identical to a fresh one —
@@ -279,254 +276,154 @@ def pair_tasks(
     )
 
 
-def _execute(task: RunTask) -> RunResult:
-    """Worker entry point (module-level so it pickles)."""
-    return task.run()
+def _attempt(task: RunTask, conn) -> None:
+    """Child-process entry point: run one attempt of ``task`` and send
+    ``(ok, value)`` back — the result, or the exception it raised.
 
-
-class _PoolUnavailable(Exception):
-    """Worker processes cannot be created; fall back to the serial path."""
-
-
-def _kill_pool(pool) -> None:
-    """Terminate a pool's workers and reap it (best effort).
-
-    Used when a future must be abandoned: a running future cannot be
-    cancelled, so the only way to stop a hung or doomed task is to kill
-    the worker processes themselves.  ``_processes`` is private executor
-    state; if the layout ever changes we degrade to a plain shutdown.
+    SIGTERM reverts to its default action: the handler inherited from
+    the parent's batch would turn a kill into a ``SweepTerminated``
+    inside the child instead of ending it.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
-        processes = list(getattr(pool, "_processes", {}).values())
-    except Exception:
-        processes = []
-    for proc in processes:
-        try:
-            proc.terminate()
-        except Exception:
-            pass
+        message = (True, task.run())
+    except BaseException as exc:
+        message = (False, exc)
     try:
-        pool.shutdown(wait=True, cancel_futures=True)
-    except Exception:
-        pass
+        conn.send(message)
+    except Exception as exc:  # the outcome does not pickle
+        conn.send((False, RuntimeError(f"cannot send the outcome: {exc!r}")))
 
 
-class _PoolDriver:
-    """Windowed pool execution with timeouts, retry and crash recovery.
+def _run_in_children(
+    tasks: "Sequence[RunTask]",
+    pending: "Sequence[int]",
+    jobs: int,
+    timeout: "float | None",
+    retries: int,
+    backoff: float,
+    attempts: "list[int]",
+    finish: "Callable[[int, RunResult, float], None]",
+    fail: "Callable[[int, Exception, str], None]",
+    log: "Callable[[str], None]",
+    prepare: "Callable[[int], RunTask]",
+    on_retry: "Callable[[int, str, int], None] | None",
+) -> "OSError | None":
+    """Run ``pending`` with one child process per attempt, ``jobs`` at most
+    alive at once.
 
-    At most ``jobs`` futures are outstanding at a time, so every
-    submitted future is actually *running* and its submit time is a
-    faithful start time for timeout accounting.  ``finish``/``fail``
-    callbacks mutate the caller's batch state; tasks awaiting a backoff
-    delay sit in a ready-time heap.
+    Each child owns one task, so a deadline kills exactly the task that
+    missed it and end-of-file without a message names the task whose
+    process died.  Timed-out and crashed tasks are retried with backoff
+    (their backoff waits sit in a ready-time heap) or failed once their
+    budget is spent.  Returns the ``OSError`` that stopped new children
+    from starting, if any; the caller finishes the batch serially.
     """
+    queue: "deque[int]" = deque(sorted(pending))
+    delayed: "list[tuple[float, int]]" = []  # (ready_at, i) heap
+    running: dict = {}  # read end -> (i, process, start time)
+    unavailable: "OSError | None" = None
 
-    def __init__(
-        self,
-        tasks: "Sequence[RunTask]",
-        pending: "Sequence[int]",
-        jobs: int,
-        timeout: "float | None",
-        retries: int,
-        backoff: float,
-        attempts: "list[int]",
-        finish: "Callable[[int, RunResult, float], None]",
-        fail: "Callable[[int, Exception, str], None]",
-        progress: "Callable[[str], None] | None",
-        prepare: "Callable[[int], RunTask] | None" = None,
-        on_retry: "Callable[[int, str, int], None] | None" = None,
-    ) -> None:
-        self.tasks = tasks
-        self.jobs = jobs
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.attempts = attempts
-        self.finish = finish
-        self.fail = fail
-        self.progress = progress
-        #: Called at submit time to produce the task actually executed —
-        #: the checkpoint layer uses it to point retries at the snapshot
-        #: the previous (killed) attempt left behind.
-        self.prepare = prepare
-        #: Structured retry notification ``(task index, kind, attempt)``
-        #: fired when a transient failure is about to be retried — the
-        #: serving layer streams it to clients as a ``retrying`` event.
-        self.on_retry = on_retry
-        self.queue: "deque[int]" = deque(sorted(pending))
-        self.delayed: "list[tuple[float, int]]" = []  # (ready_at, i) heap
-
-    def _log(self, msg: str) -> None:
-        if self.progress is not None:
-            self.progress(msg)
-
-    def _retry_delay(self, i: int) -> float:
-        # attempts[i] has already been charged for the failed attempt,
-        # so the first retry waits backoff * 1, the second backoff * 2, ...
-        return self.backoff * (2 ** max(0, self.attempts[i] - 1))
-
-    def _requeue_transient(self, i: int, kind: str, detail: str) -> None:
-        """Retry a timed-out/crashed task with backoff, or fail it."""
-        if self.attempts[i] > self.retries:
-            exc: Exception = (
-                TaskTimeout(detail) if kind == TIMEOUT else WorkerCrash(detail)
-            )
-            self.fail(i, exc, kind)
+    def retry_or_fail(i: int, kind: str, detail: str) -> None:
+        if attempts[i] > retries:
+            error = TaskTimeout if kind == TIMEOUT else WorkerCrash
+            fail(i, error(detail), kind)
             return
-        delay = self._retry_delay(i)
-        self._log(
-            f"{self.tasks[i].label}: {detail}; retrying in {delay:.1f}s "
-            f"(attempt {self.attempts[i] + 1} of {self.retries + 1})"
+        # attempts[i] already counts the failed attempt, so the first
+        # retry waits backoff * 1, the second backoff * 2, ...
+        delay = backoff * 2 ** (attempts[i] - 1)
+        log(
+            f"{tasks[i].label}: {detail}; retrying in {delay:.1f}s "
+            f"(attempt {attempts[i] + 1} of {retries + 1})"
         )
-        if self.on_retry is not None:
-            self.on_retry(i, kind, self.attempts[i] + 1)
-        heapq.heappush(self.delayed, (time.monotonic() + delay, i))
+        if on_retry is not None:
+            on_retry(i, kind, attempts[i] + 1)
+        heapq.heappush(delayed, (time.monotonic() + delay, i))
 
-    def _drain_delayed(self, block: bool) -> None:
-        """Move backoff-expired tasks to the ready queue (sleep if asked)."""
-        while self.delayed:
-            ready_at, _ = self.delayed[0]
-            now = time.monotonic()
-            if ready_at <= now:
-                self.queue.append(heapq.heappop(self.delayed)[1])
-            elif block and not self.queue:
-                time.sleep(min(ready_at - now, self.backoff or 0.05))
-            else:
-                return
-
-    def _fill(self, pool, futures: dict, workers: int) -> None:
-        self._drain_delayed(block=False)
-        while self.queue and len(futures) < workers:
-            i = self.queue.popleft()
-            self.attempts[i] += 1
-            task = (
-                self.tasks[i] if self.prepare is None else self.prepare(i)
-            )
-            futures[pool.submit(_execute, task)] = (
-                i, time.monotonic(),
-            )
-
-    def _poll_interval(self, futures: dict) -> "float | None":
-        """How long ``wait`` may block before a deadline needs attention."""
-        now = time.monotonic()
-        horizons = []
-        if self.timeout is not None and futures:
-            earliest = min(t0 for _, t0 in futures.values())
-            horizons.append(earliest + self.timeout - now)
-        if self.delayed:
-            horizons.append(self.delayed[0][0] - now)
-        if not horizons:
-            return None
-        return max(0.01, min(horizons))
-
-    def _expire(self, futures: dict) -> bool:
-        """Handle futures past their deadline; True if the pool must die."""
-        if self.timeout is None:
-            return False
-        now = time.monotonic()
-        expired = [
-            (f, i) for f, (i, t0) in futures.items()
-            if now - t0 >= self.timeout
-        ]
-        if not expired:
-            return False
-        for f, i in expired:
-            futures.pop(f)
-            self._requeue_transient(
-                i, TIMEOUT,
-                f"timed out after {self.timeout:.1f}s of wall clock",
-            )
-        # The survivors were killed along with the pool through no fault
-        # of their own: refund the attempt and resubmit them first.
-        for f, (i, t0) in futures.items():
-            self.attempts[i] -= 1
-            self.queue.appendleft(i)
-        futures.clear()
-        return True
-
-    def _harvest_on_interrupt(self, futures: dict) -> None:
-        """Bank already-finished futures before an interrupt propagates."""
-        for f, (i, t0) in list(futures.items()):
-            if f.done() and not f.cancelled():
+    try:
+        while queue or delayed or running:
+            while delayed and delayed[0][0] <= time.monotonic():
+                queue.append(heapq.heappop(delayed)[1])
+            while queue and len(running) < jobs and unavailable is None:
+                task = prepare(queue[0])
                 try:
-                    result = f.result()
-                except BaseException:
-                    continue
-                self.finish(i, result, time.monotonic() - t0)
-            else:
-                f.cancel()
-        futures.clear()
-
-    def run(self) -> None:
-        import concurrent.futures as cf
-        from concurrent.futures import FIRST_COMPLETED, wait
-        from concurrent.futures.process import BrokenProcessPool
-
-        while self.queue or self.delayed:
-            self._drain_delayed(block=True)
-            workers = max(
-                1, min(self.jobs, len(self.queue) + len(self.delayed))
-            )
-            try:
-                pool = cf.ProcessPoolExecutor(max_workers=workers)
-            except (OSError, ValueError, ImportError) as exc:
-                raise _PoolUnavailable(exc)
-            futures: "dict[object, tuple[int, float]]" = {}
-            try:
-                try:
-                    self._fill(pool, futures, workers)
-                    while futures:
-                        done, _ = wait(
-                            set(futures),
-                            timeout=self._poll_interval(futures),
-                            return_when=FIRST_COMPLETED,
-                        )
-                        for f in done:
-                            i, t0 = futures.pop(f)
-                            try:
-                                result = f.result()
-                            except BrokenProcessPool:
-                                # Put the entry back: the crash handler
-                                # below requeues everything outstanding.
-                                futures[f] = (i, t0)
-                                raise
-                            except Exception as exc:
-                                # Deterministic failure inside the task:
-                                # retrying cannot change the outcome.
-                                self.fail(i, exc, ERROR)
-                            else:
-                                self.finish(i, result, time.monotonic() - t0)
-                        if self._expire(futures):
-                            _kill_pool(pool)
-                            pool = None
-                            break
-                        self._fill(pool, futures, workers)
-                except BrokenProcessPool as exc:
-                    self._log(
-                        f"worker process died ({exc}); rebuilding the pool "
-                        f"and resubmitting {len(futures)} task(s)"
+                    reader, writer = multiprocessing.Pipe(duplex=False)
+                    child = multiprocessing.Process(
+                        target=_attempt, args=(task, writer), daemon=True,
                     )
-                    for i, t0 in futures.values():
-                        self._requeue_transient(
-                            i, CRASH,
-                            "worker process died (killed or crashed) while "
-                            "this task was outstanding",
+                    child.start()
+                except OSError as exc:
+                    unavailable = exc
+                    break
+                writer.close()
+                i = queue.popleft()
+                attempts[i] += 1
+                running[reader] = (i, child, time.monotonic())
+            if unavailable is not None and not running:
+                return unavailable
+
+            horizons = [delayed[0][0]] if delayed else []
+            if timeout is not None:
+                horizons += [t0 + timeout for _, _, t0 in running.values()]
+            ready = multiprocessing.connection.wait(
+                list(running),
+                max(0.0, min(horizons) - time.monotonic())
+                if horizons else None,
+            )
+            for conn in ready:
+                i, child, t0 = running.pop(conn)
+                # recv before join: a child whose result overflows the
+                # pipe buffer cannot exit until the result is read.
+                try:
+                    ok, value = conn.recv()
+                except (EOFError, OSError):  # died without reporting
+                    ok, value = None, None
+                conn.close()
+                child.join()
+                if ok is None:
+                    retry_or_fail(
+                        i, CRASH,
+                        f"worker process died (exit code {child.exitcode})",
+                    )
+                elif ok:
+                    finish(i, value, time.monotonic() - t0)
+                elif isinstance(value, Exception):
+                    # Deterministic failure inside the task: retrying
+                    # cannot change the outcome.
+                    fail(i, value, ERROR)
+                else:  # KeyboardInterrupt or SweepTerminated in the child
+                    raise value
+
+            if timeout is not None:
+                now = time.monotonic()
+                for conn, (i, child, t0) in list(running.items()):
+                    if now - t0 >= timeout and not conn.poll():
+                        del running[conn]
+                        child.kill()
+                        child.join()
+                        conn.close()
+                        retry_or_fail(
+                            i, TIMEOUT,
+                            f"timed out after {timeout:.1f}s of wall clock",
                         )
-                    futures.clear()
-                    _kill_pool(pool)
-                    pool = None
-            except (KeyboardInterrupt, SweepTerminated):
-                self._harvest_on_interrupt(futures)
-                if pool is not None:
-                    try:
-                        pool.shutdown(wait=False, cancel_futures=True)
-                    except Exception:
-                        pass
-                    _kill_pool(pool)
-                raise
-            finally:
-                if pool is not None:
-                    pool.shutdown(wait=True, cancel_futures=True)
+    except (KeyboardInterrupt, SweepTerminated):
+        # Bank the children that already reported before propagating.
+        for conn, (i, child, t0) in running.items():
+            if not conn.poll():
+                continue
+            try:
+                ok, value = conn.recv()
+            except (EOFError, OSError):
+                continue
+            if ok:
+                finish(i, value, time.monotonic() - t0)
+        raise
+    finally:
+        for conn, (_, child, _) in running.items():
+            child.kill()
+            child.join()
+            conn.close()
+    return None
 
 
 def run_many_detailed(
@@ -560,8 +457,8 @@ def run_many_detailed(
     be retried.
 
     When called from the main thread, SIGTERM is handled exactly like
-    Ctrl-C for the duration of the batch: finished futures are harvested
-    into the cache and journal, the rest are cancelled, and
+    Ctrl-C for the duration of the batch: children that already reported
+    are harvested into the cache and journal, the rest are killed, and
     :class:`SweepTerminated` propagates — so a containerized drain
     (``docker stop``/Kubernetes SIGTERM) is loss-free and the batch is
     resumable with ``resume=True``.
@@ -731,19 +628,9 @@ def run_many_detailed(
             f"journal + cache"
         )
 
-    outstanding = set(pending)
-
-    def finish_tracked(i: int, result: RunResult, duration: float) -> None:
-        outstanding.discard(i)
-        finish(i, result, duration)
-
-    def fail_tracked(i: int, exc: Exception, kind: str) -> None:
-        outstanding.discard(i)
-        fail(i, exc, kind)
-
     def prepare(i: int) -> RunTask:
-        """The task to actually submit: resume from its checkpoint when
-        a previous (killed or interrupted) attempt left one behind."""
+        """The task an attempt runs: resume from its checkpoint when a
+        previous (killed or interrupted) attempt left one behind."""
         task = tasks[i]
         path = ckpt_paths[i]
         if path is not None and os.path.exists(path):
@@ -751,7 +638,7 @@ def run_many_detailed(
         return task
 
     # Treat SIGTERM like Ctrl-C while the batch executes: harvest what
-    # finished, cancel the rest, propagate.  Signal handlers can only be
+    # finished, kill the rest, propagate.  Signal handlers can only be
     # installed from the main thread; elsewhere (e.g. a repro.serve
     # worker thread) the process-wide policy stays whatever the host
     # application installed.
@@ -768,43 +655,36 @@ def run_many_detailed(
             term_installed = False
 
     try:
-        use_pool = bool(pending) and (
+        if pending and (
             (jobs > 1 and len(pending) > 1) or timeout is not None
-        )
-        if use_pool:
-            driver = _PoolDriver(
+        ):
+            unavailable = _run_in_children(
                 tasks, pending, jobs, timeout, retries, backoff,
-                batch.attempts, finish_tracked, fail_tracked, progress,
-                prepare=prepare if checkpoint_every is not None else None,
-                on_retry=on_retry,
+                batch.attempts, finish, fail, progress or (lambda msg: None),
+                prepare, on_retry,
             )
-            try:
-                driver.run()
-            except _PoolUnavailable as exc:
-                if progress is not None:
-                    progress(
-                        f"process pool unavailable ({exc.args[0]!r}); "
-                        f"finishing {len(outstanding)} run(s) serially"
-                        + ("" if timeout is None
-                           else " (timeout not enforced)")
-                    )
+            pending = [
+                i for i in pending
+                if batch.results[i] is None and i not in batch.failures
+            ]
+            if unavailable is not None and progress is not None:
+                progress(
+                    f"worker processes unavailable ({unavailable!r}); "
+                    f"finishing {len(pending)} run(s) serially"
+                    + ("" if timeout is None else " (timeout not enforced)")
+                )
 
-        # Serial path: first resort for jobs=1, fallback when no pool can
-        # be built.  No parent/worker boundary exists here, so timeouts
-        # cannot be enforced and every failure is deterministic by
-        # definition.
-        for i in sorted(outstanding):
+        # Serial path: first resort for jobs=1, fallback when no child
+        # process can be started.  No parent/child boundary exists here,
+        # so timeouts cannot be enforced and every failure is
+        # deterministic by definition.  A KeyboardInterrupt or
+        # SweepTerminated propagates as is: everything finished so far is
+        # already cached and journaled, so the batch is resumable.
+        for i in pending:
             batch.attempts[i] += 1
             start = time.monotonic()
             try:
-                result = _execute(
-                    tasks[i] if checkpoint_every is None else prepare(i)
-                )
-            except (KeyboardInterrupt, SweepTerminated):
-                # Everything finished so far is already cached and
-                # journaled incrementally — an interrupted sweep is
-                # resumable as-is.
-                raise
+                result = prepare(i).run()
             except Exception as exc:
                 fail(i, exc, ERROR, duration=time.monotonic() - start)
             else:

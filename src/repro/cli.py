@@ -62,7 +62,7 @@ __all__ = ["main", "build_parser"]
 def _knobs(args: argparse.Namespace) -> Knobs:
     """The run knobs this subcommand's flags select (absent flags keep
     the :class:`Knobs` defaults).  A typo'd ``--faults`` key fails here,
-    before any workload is built or worker pool spawned."""
+    before any workload is built or worker process started."""
     if getattr(args, "faults", None):
         from repro.faults import FaultPlanError
         from repro.faults.plan import FaultPlan
@@ -446,7 +446,9 @@ def cmd_submit(args: argparse.Namespace) -> int:
     client = ServeClient(
         host=args.host, port=args.port, client=args.client,
     )
-    params: dict = {"benchmark": args.benchmark}
+    params: dict = {
+        "benchmark": args.benchmark, **dataclasses.asdict(_knobs(args)),
+    }
     if args.kind == "sweep":
         params["spes"] = list(args.spes)
     else:
@@ -454,14 +456,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
         params["prefetch"] = args.prefetch
     if args.scale is not None:
         params["scale"] = args.scale
-    if args.latency is not None:
-        params["latency"] = args.latency
-    if args.faults is not None:
-        params["faults"] = args.faults
-    if args.sanitize:
-        params["sanitize"] = True
-    if args.threshold != 0.5:
-        params["threshold"] = args.threshold
     if args.kind == "profile" and args.bucket_cycles is not None:
         params["bucket_cycles"] = args.bucket_cycles
     try:

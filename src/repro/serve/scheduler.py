@@ -8,8 +8,8 @@ The scheduler owns the job lifecycle::
 ``workers`` asyncio worker tasks pull from the :class:`JobQueue` and
 execute each job's simulation batch in a thread
 (:func:`asyncio.to_thread`) through the existing resilient
-:func:`repro.bench.parallel.run_many_detailed` machinery — process
-pools, per-task timeouts, bounded retries, checkpoint-resume and the
+:func:`repro.bench.parallel.run_many_detailed` machinery — worker
+processes, per-task timeouts, bounded retries, checkpoint-resume and the
 journal all come for free, and every retry surfaces to streaming
 clients as a ``retrying`` event (via the ``on_retry`` hook).
 

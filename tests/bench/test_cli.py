@@ -296,3 +296,8 @@ class TestServeParser:
             ["submit", "run", "bitcnt", "--port", "1", "--spes", "1"]
         ) == 1
         assert "no server" in capsys.readouterr().err
+
+    def test_submit_rejects_bad_faults_before_connecting(self):
+        with pytest.raises(SystemExit, match="--faults:"):
+            main(["submit", "run", "bitcnt", "--faults", "bogus=1",
+                  "--port", "1"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.bench.export import run_to_dict
@@ -61,11 +63,9 @@ class TestParallelIdentical:
 class TestFallbacks:
     def test_pool_failure_falls_back_to_serial(self, monkeypatch):
         def broken(*args, **kwargs):
-            raise OSError("no semaphores here")
+            raise OSError("cannot fork here")
 
-        monkeypatch.setattr(
-            "concurrent.futures.ProcessPoolExecutor", broken
-        )
+        monkeypatch.setattr(multiprocessing.Process, "start", broken)
         wl = matmul.build(n=4, threads=2)
         messages: list[str] = []
         results = run_many(
@@ -78,11 +78,9 @@ class TestFallbacks:
 
     def test_jobs_one_never_touches_the_pool(self, monkeypatch):
         def explode(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("pool should not be created for jobs=1")
+            raise AssertionError("no process may start for jobs=1")
 
-        monkeypatch.setattr(
-            "concurrent.futures.ProcessPoolExecutor", explode
-        )
+        monkeypatch.setattr(multiprocessing.Process, "start", explode)
         wl = matmul.build(n=4, threads=2)
         results = run_many(list(pair_tasks(wl, paper_config(1))), jobs=1)
         assert len(results) == 2

@@ -112,6 +112,58 @@ class KillAlwaysTask(StubTask):
 
 
 @dataclass(frozen=True)
+class CountedTask(StubTask):
+    """Appends its name to ``log`` when it starts, then works ``seconds``."""
+
+    log: str = ""
+    seconds: float = 0.0
+
+    def run(self) -> StubResult:
+        with open(self.log, "a") as f:
+            f.write(self.name + "\n")
+        time.sleep(self.seconds)
+        return StubResult(self.cycles)
+
+
+@dataclass(frozen=True)
+class KillAfterStartTask(StubTask):
+    """Once ``log`` exists (a neighbour started), SIGKILLs its own worker
+    on the first attempt and succeeds on the retry."""
+
+    log: str = ""
+    flag: str = ""
+
+    def run(self) -> StubResult:
+        if not os.path.exists(self.flag):
+            open(self.flag, "w").close()
+            deadline = time.monotonic() + 30
+            while not os.path.exists(self.log):
+                if time.monotonic() > deadline:  # pragma: no cover
+                    raise RuntimeError("neighbour never started")
+                time.sleep(0.01)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return StubResult(self.cycles)
+
+
+@dataclass(frozen=True)
+class BigResult:
+    cycles: int
+    payload: bytes
+
+
+@dataclass(frozen=True)
+class BigResultTask(StubTask):
+    """Returns a result far larger than a pipe's buffer."""
+
+    def run(self) -> BigResult:
+        return BigResult(self.cycles, b"x" * (8 << 20))
+
+
+def _starts(log) -> "list[str]":
+    return log.read_text().split()
+
+
+@dataclass(frozen=True)
 class RaiseTask(StubTask):
     def run(self) -> StubResult:
         raise ValueError("deterministic boom")
@@ -181,6 +233,46 @@ class TestTimeouts:
         assert batch.results[0] is not None and batch.results[2] is not None
         assert set(batch.failures) == {1}
 
+    def test_healthy_neighbour_of_a_timeout_starts_once(self, tmp_path):
+        # "healthy" starts when "short" finishes (1.0 s) and is still
+        # running when the hung task's deadline passes (2.0 s): killing
+        # the hung task must leave it alone.
+        log = tmp_path / "starts"
+        tasks = [
+            CountedTask("short", 2, log=str(log), seconds=1.0),
+            HangTask("hang"),
+            CountedTask("healthy", 4, log=str(log), seconds=1.4),
+        ]
+        batch = run_many_detailed(
+            tasks, jobs=2, timeout=2.0, retries=0, backoff=0, journal=None,
+            keep_going=True,
+        )
+        assert batch.results[2].cycles == 4
+        assert set(batch.failures) == {1}
+        assert batch.failures[1].kind == TIMEOUT
+        assert batch.attempts == [1, 1, 1]
+        assert _starts(log) == ["short", "healthy"]
+
+    def test_timeout_kill_writes_no_traceback(self, capfd):
+        tasks = [StubTask("a", 2), HangTask("hang"), StubTask("b", 3)]
+        run_many_detailed(
+            tasks, jobs=2, timeout=0.5, retries=0, backoff=0, journal=None,
+            keep_going=True,
+        )
+        err = capfd.readouterr().err
+        assert "SweepTerminated" not in err
+        assert "Traceback" not in err
+
+
+class TestChildProcesses:
+    def test_large_results_cross_the_pipe(self):
+        batch = run_many_detailed(
+            [BigResultTask("a", 2), BigResultTask("b", 3)], jobs=2,
+            timeout=60, journal=None,
+        )
+        assert [r.cycles for r in batch.results] == [2, 3]
+        assert all(len(r.payload) == 8 << 20 for r in batch.results)
+
 
 class TestWorkerCrash:
     def test_sigkill_rebuilds_pool_and_retries(self, tmp_path):
@@ -198,7 +290,44 @@ class TestWorkerCrash:
         assert batch.complete
         assert [r.cycles for r in batch.results] == [2, 7, 3]
         assert batch.attempts[1] >= 2
-        assert any("rebuilding the pool" in m for m in messages)
+        assert any(
+            m.startswith("oom-victim: worker process died (exit code -9)")
+            for m in messages
+        )
+
+    def test_sigkill_charges_only_the_killed_task(self, tmp_path):
+        log = tmp_path / "starts"
+        tasks = [
+            CountedTask("healthy", 4, log=str(log), seconds=1.0),
+            KillAfterStartTask("victim", 7, log=str(log),
+                               flag=str(tmp_path / "killed")),
+        ]
+        messages: list[str] = []
+        retried: list[tuple[int, str, int]] = []
+        batch = run_many_detailed(
+            tasks, jobs=2, retries=2, backoff=0, journal=None,
+            progress=messages.append,
+            on_retry=lambda *event: retried.append(event),
+        )
+        assert [r.cycles for r in batch.results] == [4, 7]
+        assert batch.attempts == [1, 2]
+        assert retried == [(1, CRASH, 2)]
+        assert _starts(log) == ["healthy"]
+        assert [m for m in messages if "died" in m] == [
+            "victim: worker process died (exit code -9); retrying in 0.0s "
+            "(attempt 2 of 3)"
+        ]
+
+    def test_sigterm_kills_only_its_child(self):
+        # A child takes SIGTERM's default action: it dies and the task is
+        # a crash, instead of raising SweepTerminated for the whole batch.
+        batch = run_many_detailed(
+            [SigtermSelfTask("evicted"), StubTask("a", 2)], jobs=2,
+            timeout=30, retries=0, backoff=0, journal=None, keep_going=True,
+        )
+        assert batch.results[1].cycles == 2
+        assert batch.failures[0].kind == CRASH
+        assert "exit code -15" in str(batch.failures[0].error)
 
     def test_crash_budget_exhausted_fails_with_crash_kind(self):
         # timeout forces the pool path even for a single task, and also
