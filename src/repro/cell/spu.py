@@ -54,11 +54,17 @@ from repro.isa.decoded import (
     D_KIND,
     D_LAT,
     D_NAME,
+    D_OFF,
     D_RD,
     D_TARGET,
+    FF_ALWAYS,
+    FF_IF_TAKEN,
     K_ALU,
     K_BRANCH,
+    K_LLOAD,
+    K_LOAD,
     K_MEM,
+    K_STOREF,
 )
 from repro.isa.instructions import Imm, Instruction, Reg
 from repro.isa.opcodes import Op, Unit
@@ -84,6 +90,15 @@ class _State(enum.Enum):
     TIMED = "timed"  # stalled until a known cycle (scoreboard, DMAGET, ...)
     EXTERNAL = "external"  # stalled until another component unblocks us
 
+
+#: Cycles after which a fast-forward window ends at its next taken
+#: branch.  Straight-line code ends a window by itself; a loop that
+#: never leaves the ALU slot needs this bound to return to the engine
+#: (and to ``max_cycles``).  A window credits its instructions when it
+#: starts, so the progress watchdog then sees the SPU silent until the
+#: next one: the bound stays below a main-memory stall (~150 cycles),
+#: which ``WatchdogConfig.stall_cycles`` must already dwarf.
+FF_MAX_CYCLES = 128
 
 #: Stall bucket per owning unit.
 _UNIT_BUCKET = {
@@ -118,6 +133,7 @@ class SPU(Component):
         self.config = config
         self.machine_config = machine_config
         self.ls = local_store
+        self._ls_latency = machine_config.local_store.latency
         self.stats = stats if stats is not None else SpuStats()
         # Wiring.
         self._lse: "LSE | None" = None
@@ -199,7 +215,10 @@ class SPU(Component):
 
     def _account(self, bucket: str, cycles: int) -> None:
         if cycles > 0:
-            self.stats.breakdown.add(bucket, cycles)
+            # TimeBreakdown.add without its checks: this runs on most
+            # visits, and ``bucket`` is always a Bucket constant.
+            breakdown = self.stats.breakdown
+            setattr(breakdown, bucket, getattr(breakdown, bucket) + cycles)
             if self.thread is not None:
                 self.stats.template_cycles[self.thread.program.name] += cycles
             if self._m_buckets is not None:
@@ -294,6 +313,8 @@ class SPU(Component):
     # -- component --------------------------------------------------------------------
 
     def tick(self, now: int) -> int | None:
+        if self._state is _State.RUNNING:
+            return self._issue(now)
         if self._state is _State.EXTERNAL:
             return None  # spurious wake; resumes via unblock paths
         if self._state is _State.TIMED:
@@ -373,35 +394,39 @@ class SPU(Component):
         """Issue one cycle's instructions; returns the next tick cycle.
 
         Reads the running thread's :mod:`repro.isa.decoded` rows and
-        executes ALU and branch rows inline.  MEM-slot ops (local store,
-        memory, scheduler, DMA) run through :meth:`_dispatch_op`.
+        executes ALU, branch and local-store rows inline.  The other
+        MEM-slot ops (memory, scheduler, DMA) run through
+        :meth:`_dispatch_op`.
 
-        When the next instructions form a straight-line ALU run and no
-        per-cycle observer is attached, defers to :meth:`_fast_forward`
-        to retire the whole run in one tick.
+        Fast-forward windows (:meth:`_fast_forward`) retire many cycles
+        in one tick: a tick that starts on an FF_ALWAYS row runs a
+        window instead of an issue group, and a group that leaves the
+        pipeline RUNNING on an eligible row is followed by a window in
+        the same tick.  Windows engage only outside PF blocks (no
+        Prefetching-bucket routing and no PF-boundary yield inside a
+        window) and only when nothing needs per-cycle visibility: no
+        tracer, no metrics hub.  The sanitizer and fault injector never
+        observe the SPU, and nothing external can interrupt a RUNNING
+        pipeline, so window side effects at tick-time are
+        indistinguishable from the per-cycle schedule.
         """
         thread = self.thread
         assert thread is not None
         rows = self._dec.rows
+        n = len(rows)
         pc = self.pc
         pf_end = self._pf_end
-        # Fast-forward only outside PF blocks (no Prefetching-bucket
-        # routing, no PF-boundary yield inside a window) and only when
-        # nothing needs per-cycle visibility: no tracer, no metrics hub.
-        # The sanitizer and fault injector never observe the SPU, and
-        # nothing external can interrupt a RUNNING pipeline, so window
-        # side effects at tick-time are indistinguishable from the
-        # per-cycle schedule.
+        unobserved = self._m_buckets is None and self._tracer is None
+        # An FF_ALWAYS row always retires at least one instruction.  An
+        # FF_IF_TAKEN branch is left to the issue group, which starts a
+        # window at whichever row it reaches.
         if (
-            (not pf_end or pc > pf_end or thread.prefetch_done)
-            and pc < len(rows)
-            and rows[pc][D_FF] >= 2
-            and self._m_buckets is None
-            and self._tracer is None
+            unobserved
+            and (not pf_end or thread.prefetch_done)
+            and pc < n
+            and rows[pc][D_FF] == FF_ALWAYS
         ):
             return self._fast_forward(now, rows)
-        program = thread.program
-        flat = program.flat
         issued = 0
         mem_used = False
         alu_used = False
@@ -411,10 +436,11 @@ class SPU(Component):
         cycle_bucket = self._bucket(Bucket.WORKING)
         regs = self.regs
         sb = self._scoreboard
-        stats = self.stats
-        while issued < self.config.issue_width:
+        by_opcode = self.stats.mix.by_opcode
+        width = self.config.issue_width
+        while issued < width:
             # PF-block boundary: yield the pipeline if DMA is outstanding.
-            if pf_end and self.pc == pf_end and not thread.prefetch_done:
+            if pf_end and pc == pf_end and not thread.prefetch_done:
                 if issued:
                     break  # handle the boundary at the top of the next cycle
                 assert self._lse is not None
@@ -426,14 +452,14 @@ class SPU(Component):
                         return None
                     return now + 1 if self._state is _State.RUNNING else None
                 thread.transition(ThreadState.EXECUTING)
-            if self.pc >= len(flat):
+            if pc >= n:
                 raise SpuFault(
-                    f"{self.name}: fell off the end of {program.name!r} "
+                    f"{self.name}: fell off the end of {thread.program.name!r} "
                     f"(missing STOP?)"
                 )
-            row = rows[self.pc]
+            row = rows[pc]
             kind = row[D_KIND]
-            if kind == K_MEM:
+            if kind >= K_MEM:
                 if mem_used:
                     break
             elif alu_used:
@@ -455,79 +481,125 @@ class SPU(Component):
                     self._block_timed(
                         worst_ready, self._bucket(_UNIT_BUCKET[worst_unit])
                     )
-                    return self._timed_until
+                    return worst_ready
                 break
+            ar = row[D_AREG]
+            a = regs[ar] if ar is not None else row[D_AVAL]
             if kind == K_ALU:
                 fn = row[D_FN]
                 if fn is not None:  # None = NOP
-                    ar = row[D_AREG]
-                    a = regs[ar] if ar is not None else row[D_AVAL]
                     br = row[D_BREG]
-                    b = regs[br] if br is not None else row[D_BVAL]
                     rd = row[D_RD]
-                    regs[rd] = fn(a, b)
+                    regs[rd] = fn(a, regs[br] if br is not None else row[D_BVAL])
                     lat = row[D_LAT]
                     if lat > 1:
                         sb[rd] = (now + lat, Unit.PIPE)
-                self.pc += 1
+                pc += 1
                 issued += 1
-                stats.mix.record(row[D_NAME])
+                by_opcode[row[D_NAME]] += 1
                 alu_used = True
                 continue
             if kind == K_BRANCH:
-                ar = row[D_AREG]
-                a = regs[ar] if ar is not None else row[D_AVAL]
                 br = row[D_BREG]
-                b = regs[br] if br is not None else row[D_BVAL]
                 issued += 1
-                stats.mix.record(row[D_NAME])
+                by_opcode[row[D_NAME]] += 1
                 alu_used = True
-                if row[D_FN](a, b):
-                    self.pc = row[D_TARGET]
+                if row[D_FN](a, regs[br] if br is not None else row[D_BVAL]):
+                    pc = row[D_TARGET]
                     penalty = self.config.branch_taken_penalty
                     break
-                self.pc += 1
+                pc += 1
                 continue
-            # MEM-slot ops.
-            instr = flat[self.pc]
-            outcome = self._dispatch_op(instr, now, issued)
-            if outcome == "blocked":
-                assert issued == 0
-                return self._timed_until if self._state is _State.TIMED else None
-            if outcome == "retry":
+            if kind == K_MEM:
+                self.pc = pc
+                outcome = self._dispatch_op(thread.program.flat[pc], now, issued)
+                pc = self.pc
+                if outcome == "blocked":
+                    assert issued == 0
+                    return self._timed_until if self._state is _State.TIMED else None
+                if outcome == "retry":
+                    break  # structural conflict; retry next cycle
+                issued += 1
+                by_opcode[row[D_NAME]] += 1
+                mem_used = True
+                if outcome == "stop":
+                    return self._switch_thread(
+                        now, issued, penalty, cycle_bucket
+                    )
+                if outcome == "yielded" or self._state is not _State.RUNNING:
+                    # A blocking op issued and is now waiting (READ, FALLOC...).
+                    self._charge_issue(issued, now, penalty, cycle_bucket)
+                    self._stall_start = now + 1
+                    return self._timed_until if self._state is _State.TIMED else None
+                continue
+            # Local-store ops: LOAD, STOREF, LLOAD, LSTORE.
+            ls = self.ls
+            if not ls.reserve_port(now):
+                if issued == 0:
+                    self._block_timed(
+                        ls.next_free_port_cycle(now),
+                        self._bucket(Bucket.LS_STALL),
+                    )
+                    return self._timed_until
                 break  # structural conflict; retry next cycle
-            if outcome == "squashed":
-                # Data-fault recovery pulled the thread off the pipeline;
-                # the aborted LOAD is not counted as issued.
-                self._detach()
-                self._charge_issue(issued, now, penalty, cycle_bucket)
-                if not self._try_dispatch(now):
-                    return None
-                if self._state is _State.TIMED:
-                    self._stall_start = now + 1
-                    return self._timed_until
-                return now + 1
+            if kind == K_LOAD:
+                addr = thread.frame_addr + row[D_OFF]
+                if self._check_loads and self._lse.check_poisoned_load(
+                    thread, addr
+                ):
+                    # The word was poisoned by a corrupted producer store;
+                    # the LSE scrubbed it and squashed the thread for
+                    # re-execution before anything was consumed.  The
+                    # aborted LOAD is not counted as issued.
+                    return self._switch_thread(
+                        now, issued, penalty, cycle_bucket
+                    )
+                rd = row[D_RD]
+                regs[rd] = ls.read_word(addr)
+                sb[rd] = (now + self._ls_latency, Unit.LS)
+            elif kind == K_LLOAD:
+                rd = row[D_RD]
+                regs[rd] = ls.read_word(a + row[D_OFF])
+                sb[rd] = (now + self._ls_latency, Unit.LS)
+            elif kind == K_STOREF:
+                ls.write_word(thread.frame_addr + row[D_OFF], a)
+            else:  # K_LSTORE
+                br = row[D_BREG]
+                ls.write_word(
+                    a + row[D_OFF], regs[br] if br is not None else row[D_BVAL]
+                )
+            pc += 1
             issued += 1
-            stats.mix.record(row[D_NAME])
+            by_opcode[row[D_NAME]] += 1
             mem_used = True
-            if outcome == "stop":
-                self._detach()
-                self._charge_issue(issued, now, penalty, cycle_bucket)
-                if not self._try_dispatch(now):
-                    return None
-                if self._state is _State.TIMED:
-                    # The issue cycle is already charged; the dispatch
-                    # stall starts next cycle.
-                    self._stall_start = now + 1
-                    return self._timed_until
-                return now + 1
-            if outcome == "yielded" or self._state is not _State.RUNNING:
-                # A blocking op issued and is now waiting (READ, FALLOC...).
-                self._charge_issue(issued, now, penalty, cycle_bucket)
-                self._stall_start = now + 1
-                return self._timed_until if self._state is _State.TIMED else None
+        self.pc = pc
         self._charge_issue(issued, now, penalty, cycle_bucket)
-        return now + 1 + penalty
+        now += 1 + penalty
+        if (
+            unobserved
+            and (not pf_end or thread.prefetch_done)
+            and pc < n
+            and rows[pc][D_FF]
+        ):
+            return self._fast_forward(now, rows)
+        return now
+
+    def _switch_thread(
+        self, now: int, issued: int, penalty: int, bucket: str
+    ) -> int | None:
+        """The running thread left the pipeline (STOP, or a squash for
+        data-fault recovery): charge this cycle's issue group and
+        dispatch the next ready thread.  Returns the next tick cycle."""
+        self._detach()
+        self._charge_issue(issued, now, penalty, bucket)
+        if not self._try_dispatch(now):
+            return None
+        if self._state is _State.TIMED:
+            # The issue cycle is already charged; the dispatch stall
+            # starts next cycle.
+            self._stall_start = now + 1
+            return self._timed_until
+        return now + 1
 
     def _charge_issue(
         self, issued: int, now: int, penalty: int, bucket: str
@@ -546,26 +618,37 @@ class SPU(Component):
             self._account(bucket, penalty)
 
     def _fast_forward(self, now: int, rows) -> int:
-        """Retire a straight-line ALU run in one tick.
+        """Retire a fast-forward window starting at cycle ``now``.
 
-        Engaged by :meth:`_issue` when ``rows[pc][D_FF] >= 2``, the pc
-        is past any PF block and nothing observes per-cycle state.
-        Replays the per-cycle loop exactly: one ALU issue per cycle (the
-        successor rule in :func:`~repro.isa.decoded.decode_program`
-        guarantees :meth:`_issue` could never dual-issue inside the run)
-        and scoreboard stalls that advance ``now`` to the writer's ready
-        cycle, with the same stats credited in bulk.  The event engine
-        never visits the interior cycles.  Returns the next tick cycle.
+        Engaged by :meth:`_issue` on rows whose ``D_FF`` eligibility
+        allows it (see :func:`~repro.isa.decoded.decode_program`), past
+        any PF block and with no per-cycle observer.  Replays the
+        per-cycle loop exactly, one ALU-slot instruction per cycle:
+        scoreboard stalls advance ``now`` to the writer's ready cycle
+        and charge the bucket :meth:`_issue` would; a taken branch costs
+        ``1 + branch_taken_penalty`` Working cycles; a not-taken branch
+        continues only into an ALU-slot successor (an FF_IF_TAKEN branch
+        stops the window before it, so the per-cycle path can pair it
+        with the MEM-slot op behind it).  The window ends at the first
+        ineligible row, or at the first taken branch at least
+        :data:`FF_MAX_CYCLES` cycles after its start, so a loop that
+        never leaves the ALU slot still returns to the engine.  The
+        event engine never visits the interior cycles.  Returns the
+        next tick cycle (``now`` unchanged when nothing retired).
         """
-        stats = self.stats
         regs = self.regs
         sb = self._scoreboard
-        by_opcode = stats.mix.by_opcode
+        by_opcode = self.stats.mix.by_opcode
+        penalty = self.config.branch_taken_penalty
+        limit = now + FF_MAX_CYCLES
         pc = self.pc
-        end = pc + rows[pc][D_FF]
         issue_cycles = 0
-        while pc < end:
+        working = 0
+        while True:
             row = rows[pc]
+            ff = row[D_FF]
+            if not ff:
+                break
             worst_ready = 0
             worst_unit = None
             for r in row[D_HAZ]:
@@ -581,24 +664,40 @@ class SPU(Component):
                 self._account(_UNIT_BUCKET[worst_unit], worst_ready - now)
                 now = worst_ready
                 continue
+            ar = row[D_AREG]
+            a = regs[ar] if ar is not None else row[D_AVAL]
+            br = row[D_BREG]
+            b = regs[br] if br is not None else row[D_BVAL]
             fn = row[D_FN]
-            if fn is not None:  # None = NOP
-                ar = row[D_AREG]
-                a = regs[ar] if ar is not None else row[D_AVAL]
-                br = row[D_BREG]
-                b = regs[br] if br is not None else row[D_BVAL]
-                rd = row[D_RD]
-                regs[rd] = fn(a, b)
-                lat = row[D_LAT]
-                if lat > 1:
-                    sb[rd] = (now + lat, Unit.PIPE)
+            if row[D_KIND] == K_ALU:
+                if fn is not None:  # None = NOP
+                    rd = row[D_RD]
+                    regs[rd] = fn(a, b)
+                    lat = row[D_LAT]
+                    if lat > 1:
+                        sb[rd] = (now + lat, Unit.PIPE)
+                pc += 1
+                now += 1
+            elif fn(a, b):  # a taken branch
+                pc = row[D_TARGET]
+                now += 1 + penalty
+                working += penalty
+                by_opcode[row[D_NAME]] += 1
+                issue_cycles += 1
+                if now >= limit:
+                    break
+                continue
+            elif ff == FF_IF_TAKEN:
+                break  # not taken, into a MEM-slot op: leave it to _issue
+            else:
+                pc += 1
+                now += 1
             by_opcode[row[D_NAME]] += 1
-            pc += 1
             issue_cycles += 1
-            now += 1
         self.pc = pc
-        stats.issue_cycles += issue_cycles
-        self._account(Bucket.WORKING, issue_cycles)
+        if issue_cycles:
+            self.stats.issue_cycles += issue_cycles
+            self._account(Bucket.WORKING, issue_cycles + working)
         return now
 
     # -- per-opcode execution -------------------------------------------------------------------
@@ -606,52 +705,17 @@ class SPU(Component):
     def _dispatch_op(self, instr: Instruction, now: int, issued: int) -> str:
         """Execute the MEM-slot instruction ``instr`` if possible.
 
-        Returns "issued", "stop", "squashed" (data-fault recovery pulled
-        the thread), "yielded" (issued but the pipeline is now waiting),
-        "retry" (structural conflict, nothing done) or "blocked" (entered
-        a stall; only when nothing was issued this cycle).
+        Covers every MEM-slot op but the four local-store ones, which
+        :meth:`_issue` runs inline from their decoded rows.  Returns
+        "issued", "stop", "yielded" (issued but the pipeline is now
+        waiting), "retry" (structural conflict, nothing done) or
+        "blocked" (entered a stall; only when nothing was issued this
+        cycle).
         """
         op = instr.op
         thread = self.thread
         assert thread is not None
         assert self._lse is not None
-
-        # -- local store (frame + prefetched data) -------------------------------
-        if op in (Op.LOAD, Op.STOREF, Op.LLOAD, Op.LSTORE):
-            if not self.ls.reserve_port(now):
-                if issued == 0:
-                    wake = self.ls.next_free_port_cycle(now)
-                    self._block_timed(wake, self._bucket(Bucket.LS_STALL))
-                    return "blocked"
-                return "retry"
-            lat = self.machine_config.local_store.latency
-            if op is Op.LOAD:
-                assert thread.frame_addr is not None
-                addr = thread.frame_addr + 4 * instr.imm
-                if self._check_loads and self._lse.check_poisoned_load(
-                    thread, addr
-                ):
-                    # The word was poisoned by a corrupted producer
-                    # store; the LSE scrubbed it and squashed the thread
-                    # for re-execution before anything was consumed.
-                    return "squashed"
-                value = self.ls.read_word(addr)
-                self.regs[instr.rd] = value
-                self._scoreboard[instr.rd] = (now + lat, Unit.LS)
-            elif op is Op.STOREF:
-                assert thread.frame_addr is not None
-                self.ls.write_word(
-                    thread.frame_addr + 4 * instr.imm, self._val(instr.ra)
-                )
-            elif op is Op.LLOAD:
-                addr = self._val(instr.ra) + instr.imm
-                self.regs[instr.rd] = self.ls.read_word(addr)
-                self._scoreboard[instr.rd] = (now + lat, Unit.LS)
-            else:  # LSTORE
-                addr = self._val(instr.ra) + instr.imm
-                self.ls.write_word(addr, self._val(instr.rb))
-            self.pc += 1
-            return "issued"
 
         # -- main memory -----------------------------------------------------------
         if op is Op.READ:

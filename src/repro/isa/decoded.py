@@ -10,19 +10,21 @@ data.
 :func:`decode_program` resolves all of it **once per program** into flat
 tuples — one row per flat instruction — holding:
 
-* a small-int dispatch ``kind``: ALU, branch, or MEM slot (the SPU runs
-  MEM-slot ops from the original :class:`Instruction`),
+* a small-int dispatch ``kind``: ALU, branch, one of the four local-store
+  ops (LOAD, STOREF, LLOAD, LSTORE, which the SPU issues from the row),
+  or any other MEM-slot op (run from the original :class:`Instruction`),
 * pre-resolved operands (register index *or* immediate value, with the
   ALU ``imm``-as-``rb`` fallback already folded in),
 * the value function (one tiny closure per opcode instead of the
   ``alu_result`` if-chain; ``tests/isa/test_decoded.py`` pins these to
   :func:`~repro.isa.semantics.alu_result` /
   :func:`~repro.isa.semantics.branch_taken` so they cannot drift),
-* the scoreboard-checked register set and the result latency,
-* ``ff``: the **fast-forward run length** starting at this pc — the
-  number of consecutive ALU instructions the SPU may execute inside a
-  single tick without any per-cycle observer noticing (see
-  ``SPU._fast_forward`` and ``docs/PERFORMANCE.md``).
+* the scoreboard-checked register set, the result latency and, for
+  the local-store ops, the byte offset of the access,
+* ``ff``: the **fast-forward eligibility** of this pc — whether the SPU
+  may issue the instruction inside a fast-forward window, where one
+  tick retires many cycles without any per-cycle observer noticing
+  (see ``SPU._fast_forward`` and ``docs/PERFORMANCE.md``).
 
 Rows are plain tuples indexed by the ``D_*`` constants (attribute access
 is what we are deleting from the hot path).  The decoded table attaches
@@ -51,9 +53,11 @@ __all__ = [
     "decode_program",
     # row field indices
     "D_KIND", "D_AREG", "D_AVAL", "D_BREG", "D_BVAL", "D_RD", "D_TARGET",
-    "D_LAT", "D_HAZ", "D_FN", "D_NAME", "D_FF",
+    "D_LAT", "D_HAZ", "D_FN", "D_NAME", "D_FF", "D_OFF",
     # dispatch kinds
-    "K_ALU", "K_BRANCH", "K_MEM",
+    "K_ALU", "K_BRANCH", "K_MEM", "K_LOAD", "K_STOREF", "K_LLOAD", "K_LSTORE",
+    # fast-forward eligibility
+    "FF_NEVER", "FF_ALWAYS", "FF_IF_TAKEN",
 ]
 
 
@@ -71,15 +75,39 @@ D_LAT = 7     #: result latency in cycles (>= 1; ALU rows only matter)
 D_HAZ = 8     #: tuple of scoreboard-checked register indices, in ra,rb,rd order
 D_FN = 9      #: value function (ALU result / branch predicate), or None
 D_NAME = 10   #: op mnemonic (InstructionMix.record key)
-D_FF = 11     #: fast-forward run length starting at this pc (0 = ineligible)
+D_FF = 11     #: fast-forward eligibility (FF_* below)
+D_OFF = 12    #: LS byte offset: 4 * slot for LOAD/STOREF, imm for LLOAD/LSTORE
 
 # -- dispatch kinds -----------------------------------------------------------
-# ALU and branch rows occupy the ALU issue slot; every other op occupies
-# the MEM slot.
+# ALU and branch rows occupy the ALU issue slot; every kind from K_MEM up
+# occupies the MEM slot.  The four local-store ops have kinds of their
+# own so the SPU can issue them from the row; K_MEM is every other
+# MEM-slot op.
 
 K_ALU = 0
 K_BRANCH = 1
 K_MEM = 2
+K_LOAD = 3
+K_STOREF = 4
+K_LLOAD = 5
+K_LSTORE = 6
+
+_LS_KIND = {
+    Op.LOAD: K_LOAD,
+    Op.STOREF: K_STOREF,
+    Op.LLOAD: K_LLOAD,
+    Op.LSTORE: K_LSTORE,
+}
+
+# -- fast-forward eligibility -------------------------------------------------
+# A fast-forward window issues one ALU-slot instruction per cycle, so an
+# instruction may enter one only when the per-cycle loop could not pair
+# it with the instruction after it: that successor must not be a
+# MEM-slot op.  A branch's successor matters only on the fall-through.
+
+FF_NEVER = 0     #: MEM-slot ops, and ALU ops followed by a MEM-slot op
+FF_ALWAYS = 1    #: ALU ops and branches whose successor is in the ALU slot
+FF_IF_TAKEN = 2  #: branches whose fall-through is a MEM-slot op
 
 
 # -- value functions ----------------------------------------------------------
@@ -185,7 +213,7 @@ def decode_program(program: "ThreadProgram") -> DecodedProgram:
                 b_reg, b_val = None, imm
             fn = _ALU_FN.get(op)  # None for NOP
         else:
-            kind = K_MEM
+            kind = _LS_KIND.get(op, K_MEM)
             b_reg, b_val = _operand(instr.rb)
             fn = None
         haz: list[int] = []
@@ -205,29 +233,27 @@ def decode_program(program: "ThreadProgram") -> DecodedProgram:
             tuple(haz),
             fn,
             op.value,
-            0,  # D_FF, filled below
+            FF_NEVER,  # D_FF, filled below
+            4 * imm if kind in (K_LOAD, K_STOREF) else imm,
         ])
 
-    # Fast-forward run lengths.  ff[i] = the number of instructions,
-    # starting at i, the SPU may retire at one per cycle inside a single
-    # tick with timing identical to the per-cycle path.  Requirements,
-    # derived from the dual-issue rules in SPU._issue:
-    #   * instruction i is a non-branch ALU op (register-only effects,
-    #     single ALU slot, scoreboard handled by the fast loop itself);
-    #   * instruction i+1 occupies the ALU slot too.  If it were a
-    #     MEM-slot op, the per-cycle path would dual-issue it *in the
-    #     same cycle* as instruction i, so i must be left to the
-    #     per-cycle loop.  An ALU/branch successor ends the cycle after
-    #     one issue (alu_used) — exactly what the fast loop models.
-    # The final instruction is always STOP (MEM slot), so i+1 exists for
-    # every ALU instruction.
-    for i in range(n - 2, -1, -1):
-        row = partial[i]
-        if row[D_KIND] != K_ALU:
+    # Fast-forward eligibility.  A window (SPU._fast_forward) issues one
+    # instruction per cycle, which is what the per-cycle loop in
+    # SPU._issue does for an ALU-slot instruction whose successor also
+    # occupies the ALU slot (alu_used ends the cycle).  A MEM-slot
+    # successor would dual-issue in the same cycle, so:
+    #   * an ALU op is eligible only when its successor is not MEM-slot;
+    #   * a branch is eligible when taken (the cycle ends at the jump)
+    #     and, when not taken, only under the same successor rule.
+    # A last row without a successor counts as followed by a MEM-slot
+    # op, so a window never runs off the end of the program.
+    for i, row in enumerate(partial):
+        if row[D_KIND] > K_BRANCH:
             continue
-        nxt = partial[i + 1]
-        if nxt[D_KIND] == K_MEM:
-            continue  # would dual-issue with i: not fast-forwardable
-        row[D_FF] = 1 + (nxt[D_FF] if nxt[D_KIND] == K_ALU else 0)
+        mem_next = i + 1 == n or partial[i + 1][D_KIND] >= K_MEM
+        if row[D_KIND] == K_ALU:
+            row[D_FF] = FF_NEVER if mem_next else FF_ALWAYS
+        else:
+            row[D_FF] = FF_IF_TAKEN if mem_next else FF_ALWAYS
 
     return DecodedProgram(tuple(tuple(row) for row in partial))

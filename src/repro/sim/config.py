@@ -321,7 +321,9 @@ class WatchdogConfig:
     #: Cycles between progress samples (each sample is one engine event).
     interval: int = 5_000
     #: Raise when no forward progress for this many cycles.  Must dwarf
-    #: any legitimate stall (memory latency is ~150 cycles).
+    #: any legitimate stall (memory latency is ~150 cycles) and any SPU
+    #: fast-forward window (``repro.cell.spu.FF_MAX_CYCLES``), whose
+    #: instructions are credited when it starts.
     stall_cycles: int = 200_000
 
     def __post_init__(self) -> None:

@@ -107,16 +107,18 @@ class Engine:
 
     def __init__(self) -> None:
         self._now = 0
-        # Entries are (cycle, priority, order, seq, target).  ``order`` is
-        # the component's registration index (0 for callbacks), so ticks
-        # that tie on (cycle, priority) dispatch in *registration* order —
-        # never in push order.  This matters for correctness, not style: a
-        # fast-forwarding SPU schedules its window-end tick many cycles
-        # early, and a push-order tie-break would let that early push jump
-        # ahead of peer SPUs within the cycle, reordering shared-resource
-        # arbitration versus the cycle-by-cycle path.  ``seq`` only
-        # disambiguates a live entry from its own stale duplicates (and
-        # keeps callbacks FIFO).
+        # Entries are (cycle, priority, order, seq, target).  Callbacks
+        # carry priority -1, below every component's (register() rejects
+        # negative ones), which is also how run() tells them apart from
+        # ticks.  ``order`` is the component's registration index (0 for
+        # callbacks), so ticks that tie on (cycle, priority) dispatch in
+        # *registration* order — never in push order.  This matters for
+        # correctness, not style: a fast-forwarding SPU schedules its
+        # window-end tick many cycles early, and a push-order tie-break
+        # would let that early push jump ahead of peer SPUs within the
+        # cycle, reordering shared-resource arbitration versus the
+        # cycle-by-cycle path.  ``seq`` only disambiguates a live entry
+        # from its own stale duplicates (and keeps callbacks FIFO).
         self._heap: list[tuple[int, int, int, int, object]] = []
         self._seq = 0
         self._components: list[Component] = []
@@ -137,6 +139,12 @@ class Engine:
 
     def register(self, component: Component) -> Component:
         """Attach ``component`` to this engine and return it."""
+        if component.priority < 0:
+            # Negative priorities mark callbacks in the heap.
+            raise ValueError(
+                f"component {component.name!r} has negative priority "
+                f"{component.priority}"
+            )
         component._attach(self)
         component._order = len(self._components)
         self._components.append(component)
@@ -227,11 +235,7 @@ class Engine:
     def _entry_live(entry: tuple) -> bool:
         """True when a heap entry will actually dispatch (not a superseded
         tick); callbacks are always live."""
-        target = entry[4]
-        return (
-            not isinstance(target, Component)
-            or target._scheduled_at == entry[0]
-        )
+        return entry[1] < 0 or entry[4]._scheduled_at == entry[0]
 
     def _compact(self) -> None:
         """Drop stale heap entries and re-heapify in place."""
@@ -270,6 +274,8 @@ class Engine:
         else:
             next_ckpt = None
         heap = self._heap
+        heappop = heapq.heappop
+        heappush = heapq.heappush
         while True:
             if until is not None and until():
                 return self._now
@@ -293,26 +299,38 @@ class Engine:
             # requests for the current (or a past) cycle to now + 1,
             # so this inner loop always terminates.
             while heap and heap[0][0] == cycle:
-                target = heapq.heappop(heap)[4]
-                if isinstance(target, Component):
-                    if target._scheduled_at != cycle:
-                        self.stale_skipped += 1
-                        continue  # lazily-deleted stale entry
-                    target._scheduled_at = None
-                    self._live -= 1
-                    self.ticks_dispatched += 1
-                    nxt = target.tick(cycle)
-                    if nxt is not None:
-                        if nxt <= cycle:
-                            raise RuntimeError(
-                                f"component {target.name!r} returned non-advancing "
-                                f"next tick {nxt} at cycle {cycle}"
-                            )
-                        self.schedule(target, nxt)
-                else:
+                entry = heappop(heap)
+                target = entry[4]
+                if entry[1] < 0:  # callbacks carry priority -1
                     self._callbacks -= 1
                     self.callbacks_dispatched += 1
                     target()
+                    continue
+                if target._scheduled_at != cycle:
+                    self.stale_skipped += 1
+                    continue  # lazily-deleted stale entry
+                target._scheduled_at = None
+                self._live -= 1
+                self.ticks_dispatched += 1
+                nxt = target.tick(cycle)
+                if nxt is None:
+                    continue
+                if nxt <= cycle:
+                    raise RuntimeError(
+                        f"component {target.name!r} returned non-advancing "
+                        f"next tick {nxt} at cycle {cycle}"
+                    )
+                if target._scheduled_at is None:
+                    # schedule() for a component with no tick pending,
+                    # minus its checks: re-push the entry just popped.
+                    target._scheduled_at = nxt
+                    self._live += 1
+                    self._seq += 1
+                    heappush(
+                        heap, (nxt, entry[1], entry[2], self._seq, target)
+                    )
+                else:  # the tick woke itself; schedule() resolves it
+                    self.schedule(target, nxt)
 
     def drain(self, max_cycles: int | None = None) -> int:
         """Run until the event queue is empty; returns the final cycle."""
@@ -360,11 +378,11 @@ class Engine:
             limit, (entry for entry in self._heap if self._entry_live(entry))
         )
         lines = []
-        for cycle, _prio, _order, _seq, target in live:
-            if isinstance(target, Component):
-                lines.append(f"cycle {cycle}: tick {target.name}")
-            else:
+        for cycle, prio, _order, _seq, target in live:
+            if prio < 0:
                 lines.append(f"cycle {cycle}: callback {target.describe()}")
+            else:
+                lines.append(f"cycle {cycle}: tick {target.name}")
         return lines
 
     def pending_events(self) -> Iterable[tuple[int, object]]:

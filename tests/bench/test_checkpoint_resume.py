@@ -173,7 +173,8 @@ class TestResumeFromLeftoverCheckpoint:
         ckdir = tmp_path / "ck"
         ckdir.mkdir()
         path = self._plant_leftover(base, ckdir)
-        data = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            data = fh.read()
         with open(path, "wb") as fh:
             fh.write(data[: len(data) // 2])  # torn write
         result = run_workload(

@@ -32,8 +32,9 @@ _decode_program = decoded.decode_program
 
 
 def _decode_without_fast_forward(program):
-    """:func:`decode_program` with every fast-forward run length zeroed:
-    the SPU then takes one engine tick per issue cycle."""
+    """:func:`decode_program` with every row's fast-forward eligibility
+    zeroed (``FF_NEVER``): the SPU then takes one engine tick per issue
+    cycle."""
     table = _decode_program(program)
     return decoded.DecodedProgram(tuple(
         row[:decoded.D_FF] + (0,) + row[decoded.D_FF + 1:]

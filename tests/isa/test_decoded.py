@@ -3,7 +3,7 @@
 The SPU issue loop (``SPU._issue`` and ``SPU._fast_forward``) trusts
 :mod:`repro.isa.decoded` completely, so this suite pins the decoded
 closures to the canonical semantics in :mod:`repro.isa.semantics` over
-a value grid, and checks the row fields and fast-forward run lengths
+a value grid, and checks the row fields and fast-forward eligibility
 against first principles.
 """
 
@@ -15,6 +15,7 @@ from repro.isa.builder import ThreadBuilder
 from repro.isa.decoded import (
     _ALU_FN,
     _BRANCH_FN,
+    D_AREG,
     D_AVAL,
     D_BREG,
     D_BVAL,
@@ -24,11 +25,19 @@ from repro.isa.decoded import (
     D_KIND,
     D_LAT,
     D_NAME,
+    D_OFF,
     D_RD,
     D_TARGET,
+    FF_ALWAYS,
+    FF_IF_TAKEN,
+    FF_NEVER,
     K_ALU,
     K_BRANCH,
+    K_LLOAD,
+    K_LOAD,
+    K_LSTORE,
     K_MEM,
+    K_STOREF,
     decode_program,
 )
 from repro.isa.opcodes import Op, Slot, spec_of
@@ -139,6 +148,45 @@ class TestRowFields:
         assert rows[-1][D_KIND] == K_MEM
         assert rows[-1][D_NAME] == Op.STOP.value
 
+    def test_local_store_rows_carry_resolved_operands(self):
+        b = ThreadBuilder("t")
+        for slot in ("s0", "s1", "s2", "s3"):
+            b.slot(slot)
+        with b.block(BlockKind.PF):
+            b.li("v", 5)
+            b.storef(2, "v")
+        with b.block(BlockKind.PL):
+            b.load("f", 3)
+        with b.block(BlockKind.EX):
+            b.li("base", 0x200)
+            b.lload("w", "base", 12)
+            b.lstore("base", 8, "v")
+            b.stop()
+        rows = decode_program(b.build()).rows
+        v, base = rows[0][D_RD], rows[3][D_RD]
+        storef, load, lload, lstore = rows[1], rows[2], rows[4], rows[5]
+        # LOAD rd <- frame[3]: the offset is in bytes.
+        assert load[D_KIND] == K_LOAD
+        assert load[D_OFF] == 12
+        assert load[D_HAZ] == (load[D_RD],)
+        # STOREF frame[2] <- v.
+        assert storef[D_KIND] == K_STOREF
+        assert storef[D_AREG] == v and storef[D_OFF] == 8
+        assert storef[D_HAZ] == (v,)
+        # LLOAD w <- LS[base + 12]: WAW on w after the base.
+        assert lload[D_KIND] == K_LLOAD
+        assert lload[D_AREG] == base and lload[D_OFF] == 12
+        assert lload[D_HAZ] == (base, lload[D_RD])
+        # LSTORE LS[base + 8] <- v.
+        assert lstore[D_KIND] == K_LSTORE
+        assert lstore[D_AREG] == base and lstore[D_BREG] == v
+        assert lstore[D_OFF] == 8
+        assert lstore[D_HAZ] == (base, v)
+        for row in (load, storef, lload, lstore):
+            assert row[D_KIND] >= K_MEM  # MEM issue slot
+            assert row[D_FF] == FF_NEVER
+            assert row[D_FN] is None
+
     def test_every_non_alu_op_is_a_mem_slot_op(self):
         # The decoder gives every op that is neither ALU nor branch the
         # K_MEM kind, which the SPU counts against the MEM issue slot.
@@ -149,7 +197,10 @@ class TestRowFields:
 
 
 class TestFastForwardRunLengths:
-    def test_straight_alu_run_counts_down_to_the_stop(self):
+    """``D_FF`` is a per-row eligibility: whether a fast-forward window
+    may issue the row, given the dual-issue rules of ``SPU._issue``."""
+
+    def test_straight_alu_run_is_eligible_up_to_the_stop(self):
         def body(b):
             b.li("a", 1)
             b.li("b", 2)
@@ -158,10 +209,12 @@ class TestFastForwardRunLengths:
 
         rows = decode_program(ex_program(body)).rows
         # The last ALU op precedes STOP (MEM slot): the per-cycle path
-        # would dual-issue them, so its ff must be 0.
-        assert [r[D_FF] for r in rows] == [3, 2, 1, 0, 0]
+        # would dual-issue them, so it stays outside windows.
+        assert [r[D_FF] for r in rows] == [
+            FF_ALWAYS, FF_ALWAYS, FF_ALWAYS, FF_NEVER, FF_NEVER,
+        ]
 
-    def test_branch_terminates_the_run(self):
+    def test_branch_eligibility_follows_its_fall_through(self):
         def body(b):
             b.li("x", 4)
             b.li("y", 0)
@@ -171,10 +224,25 @@ class TestFastForwardRunLengths:
             b.bnez("x", "top")
 
         rows = decode_program(ex_program(body)).rows
-        ffs = [r[D_FF] for r in rows]
-        # The two ALU ops before the branch may fast-forward (the branch
-        # occupies the ALU slot next cycle); the branch itself may not.
-        assert ffs == [4, 3, 2, 1, 0, 0]
+        # The back-edge falls through into STOP (MEM slot): a window may
+        # take it, but a not-taken one would dual-issue with the STOP.
+        assert [r[D_FF] for r in rows] == [
+            FF_ALWAYS, FF_ALWAYS, FF_ALWAYS, FF_ALWAYS, FF_IF_TAKEN,
+            FF_NEVER,
+        ]
+
+        def skip(b):
+            b.li("x", 0)
+            b.beqz("x", "out")
+            b.addi("x", "x", 1)
+            b.label("out")
+            b.addi("x", "x", 2)
+            b.nop()
+
+        rows = decode_program(ex_program(skip)).rows
+        # A forward branch into ALU-slot code is eligible either way.
+        assert rows[1][D_KIND] == K_BRANCH
+        assert rows[1][D_FF] == FF_ALWAYS
 
     def test_mem_slot_successor_zeroes_ff(self):
         def body(b):
@@ -184,9 +252,9 @@ class TestFastForwardRunLengths:
 
         rows = decode_program(ex_program(body)).rows
         ffs = [r[D_FF] for r in rows]
-        # li precedes LSTORE (MEM): dual-issue candidate, ff = 0.
-        # addi precedes STOP (MEM): same.  LSTORE is not ALU: ff = 0.
-        assert ffs == [0, 0, 0, 0]
+        # li precedes LSTORE (MEM): dual-issue candidate, ineligible.
+        # addi precedes STOP (MEM): same.  LSTORE is not ALU: ineligible.
+        assert ffs == [FF_NEVER] * 4
 
     def test_nops_participate_in_runs(self):
         def body(b):
@@ -196,7 +264,9 @@ class TestFastForwardRunLengths:
             b.addi("x", "x", 1)
 
         rows = decode_program(ex_program(body)).rows
-        assert [r[D_FF] for r in rows] == [3, 2, 1, 0, 0]
+        assert [r[D_FF] for r in rows] == [
+            FF_ALWAYS, FF_ALWAYS, FF_ALWAYS, FF_NEVER, FF_NEVER,
+        ]
 
     def test_decode_is_cached_per_program(self):
         prog = ex_program(lambda b: b.li("x", 1))

@@ -144,8 +144,9 @@ class TestChaosMidJob:
         def build(spec):
             return [KillOnceTask(inner, flag)]
 
-        # timeout forces the process-pool path (the kill must hit a
-        # worker, not the server); retries default to the env/2.
+        # timeout forces the per-task child-process path (the kill must
+        # hit a child process, not the server); retries default to the
+        # env/2.
         scheduler = JobScheduler(
             cache=cache, workers=1, sim_jobs=2, timeout=120,
             backoff=0, build_tasks=build,

@@ -169,6 +169,57 @@ class TestCounters:
         assert eng.stale_count == 0
 
 
+class TestTickReturnValue:
+    """After a tick, run() re-pushes the component itself; a tick that
+    also woke its own component defers to schedule()'s rules."""
+
+    class SelfWaking(Component):
+        def __init__(self, wake_at: int, returns: int) -> None:
+            super().__init__("s")
+            self.wake_at, self.returns = wake_at, returns
+            self.ticks: list[int] = []
+
+        def tick(self, now: int) -> int | None:
+            self.ticks.append(now)
+            if len(self.ticks) > 1:
+                return None
+            self.wake(self.wake_at)
+            return self.returns
+
+    def test_returned_cycle_is_scheduled_and_counted_live(self):
+        eng = Engine()
+        t = eng.register(Ticker("t", period=3, count=2))
+        eng.schedule(t, 1)
+        eng.run(until=lambda: eng.now >= 1)
+        assert eng.pending_count == 1 and eng.stale_count == 0
+        eng.drain()
+        assert t.ticks == [1, 4]
+        assert eng.ticks_dispatched == 2 and eng.stale_skipped == 0
+
+    def test_self_wake_earlier_than_the_return_value_wins(self):
+        eng = Engine()
+        s = eng.register(self.SelfWaking(wake_at=3, returns=9))
+        eng.schedule(s, 1)
+        eng.drain()
+        assert s.ticks == [1, 3]
+        assert eng.stale_skipped == 0
+
+    def test_return_value_earlier_than_a_self_wake_supersedes_it(self):
+        eng = Engine()
+        s = eng.register(self.SelfWaking(wake_at=9, returns=3))
+        eng.schedule(s, 1)
+        eng.drain()
+        assert s.ticks == [1, 3]
+        assert eng.stale_skipped == 1
+
+    def test_negative_priority_is_reserved_for_callbacks(self):
+        class Early(Ticker):
+            priority = -1
+
+        with pytest.raises(ValueError, match="negative priority"):
+            Engine().register(Early("early"))
+
+
 class TestCompaction:
     def test_supersede_heavy_scheduling_keeps_heap_bounded(self):
         eng = Engine()
